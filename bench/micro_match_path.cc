@@ -20,16 +20,17 @@
  * on the host for every simulated lookup, so it bounds simulation and
  * software-CA-RAM throughput.
  *
+ * The ipv4-lpm-192 variant has the shape of the IPv4 design-E table
+ * (32-bit ternary LPM, 16-bit data, 3 x 64 = 192 slots per row): wide,
+ * sparsely filled rows where the single-key kernel is most of a lookup.
+ *
  * A second section sweeps the comparator *kernels* (scalar / AVX2 /
  * AVX-512, core/match_kernels.h) on the 144-bit ternary workload: the
- * per-key packed path under each kernel, the multi-key group path
- * (kMaxGroupKeys keys sharing each row fetch), and the batched slice
- * search over bursty traffic.  Single-key SIMD cannot beat the scalar
- * packed path here -- the row walk is load-bound, not compare-bound --
- * which is exactly why the batched pipeline exists: amortizing one row
- * fetch over a group of keys is where the vector width pays (see
- * EXPERIMENTS.md).  All kernel/group/batch result streams are
- * checksummed against the scalar per-key stream.
+ * per-key packed path under each kernel (vector lanes hold slots), the
+ * multi-key group path (kMaxGroupKeys keys sharing each row fetch;
+ * vector lanes hold keys), and the batched slice search over bursty
+ * traffic (see EXPERIMENTS.md).  All kernel/group/batch result streams
+ * are checksummed against the scalar per-key stream.
  *
  * Emits BENCH_match_path.json and BENCH_simd_batch.json.  Usage:
  *
@@ -39,10 +40,10 @@
  *                    [--simd-json PATH] [--simd-baseline PATH]
  *
  * With --baseline / --simd-baseline, exits nonzero when any variant's
- * (respectively any kernel's) ns/lookup exceeds the baseline's by more
- * than X (default 2.0) -- the CI smoke gate
- * (scripts/ci_bench_smoke.sh).  --kernel restricts the kernel sweep
- * (and pins the main section's slices) to one kernel.
+ * ns/lookup (respectively any kernel's per-key or group ns/key)
+ * exceeds the baseline's by more than X (default 2.0) -- the CI smoke
+ * gate (scripts/ci_bench_smoke.sh).  --kernel restricts the kernel
+ * sweep (and pins the main section's slices) to one kernel.
  */
 
 #include <algorithm>
@@ -180,6 +181,8 @@ struct Variant
     unsigned keyBits;
     bool ternary;
     bool lpm;
+    unsigned slots = 16;     ///< slots per row
+    unsigned indexBits = 10; ///< log2 rows
 };
 
 struct Workload
@@ -192,11 +195,11 @@ Workload
 buildWorkload(const Variant &v, std::size_t lookups)
 {
     SliceConfig cfg;
-    cfg.indexBits = 10; // 1024 buckets
+    cfg.indexBits = v.indexBits;
     cfg.logicalKeyBits = v.keyBits;
     cfg.ternary = v.ternary;
     cfg.lpm = v.lpm;
-    cfg.slotsPerBucket = 16; // the paper's IP-lookup bucket width
+    cfg.slotsPerBucket = v.slots;
     cfg.dataBits = 16;
     cfg.maxProbeDistance = 16;
     cfg.validate();
@@ -232,7 +235,7 @@ buildWorkload(const Variant &v, std::size_t lookups)
         return k;
     };
     std::vector<Key> loaded;
-    for (int i = 0; i < 10000; ++i) { // ~61% load
+    for (int i = 0; i < 10000; ++i) { // ~61% load at 1024 x 16
         const Key k = random_key();
         if (w.slice->insert(Record{k, rng.below(1u << 16)}).ok)
             loaded.push_back(k);
@@ -557,11 +560,13 @@ main(int argc, char **argv)
         {"binary-144", 144, false, false},
         {"ternary-144", 144, true, false},
         {"lpm-144", 144, true, true},
+        {"ipv4-lpm-192", 32, true, true, 192, 8},
     };
 
     std::cout << "=== Micro: word-parallel match path vs legacy decode "
                  "===\n\n";
-    std::cout << "1024 buckets x 16 slots, ~61% load, "
+    std::cout << "1024 buckets x 16 slots (~61% load; ipv4-lpm-192: 256 "
+                 "x 192, ~20%), "
               << withCommas(lookups)
               << " lookups per variant (60% hit traffic); legacy = "
                  "pre-rewrite per-bit decode path\n\n";
@@ -590,6 +595,7 @@ main(int argc, char **argv)
              << "      \"ternary\": " << (v.ternary ? "true" : "false")
              << ",\n"
              << "      \"lpm\": " << (v.lpm ? "true" : "false") << ",\n"
+             << "      \"slots\": " << v.slots << ",\n"
              << "      \"fast_ns_per_lookup\": " << fixed(m.fastNs, 2)
              << ",\n"
              << "      \"legacy_ns_per_lookup\": " << fixed(m.legacyNs, 2)
@@ -755,25 +761,28 @@ main(int argc, char **argv)
                   << simd_baseline_path << ") ---\n";
         for (const KernelMeasurement &km : kms) {
             const std::string name = simd::kernelName(km.kernel);
-            const double ref =
-                bench::baselineField(base, name, "group_ns_per_key");
-            const double cur =
-                bench::baselineField(current, name,
-                                     "group_ns_per_key");
-            if (ref <= 0.0) {
-                std::cout << "FAIL: no baseline entry for " << name
-                          << "\n";
-                rc = 1;
-                continue;
+            for (const char *path : {"perkey", "group"}) {
+                const std::string field =
+                    std::string(path) + "_ns_per_key";
+                const double ref =
+                    bench::baselineField(base, name, field);
+                const double cur =
+                    bench::baselineField(current, name, field);
+                if (ref <= 0.0) {
+                    std::cout << "FAIL: no baseline entry for " << name
+                              << " " << field << "\n";
+                    rc = 1;
+                    continue;
+                }
+                const double ratio = cur / ref;
+                const bool ok = ratio <= max_regression;
+                std::cout << (ok ? "ok  " : "FAIL") << "  " << name
+                          << " " << path << ": " << fixed(cur, 1)
+                          << " ns vs baseline " << fixed(ref, 1)
+                          << " ns (" << fixed(ratio, 2) << "x)\n";
+                if (!ok)
+                    rc = 1;
             }
-            const double ratio = cur / ref;
-            const bool ok = ratio <= max_regression;
-            std::cout << (ok ? "ok  " : "FAIL") << "  " << name
-                      << " group: " << fixed(cur, 1)
-                      << " ns vs baseline " << fixed(ref, 1) << " ns ("
-                      << fixed(ratio, 2) << "x)\n";
-            if (!ok)
-                rc = 1;
         }
     }
 

@@ -7,7 +7,7 @@
 #
 # The kernel sweep section additionally gates the AVX2 multi-key group
 # match at >= 2x over the scalar per-key path and compares each
-# kernel's group ns/key against the SIMD baseline.
+# kernel's per-key and group ns/key against the SIMD baseline.
 #
 # The bulk-ingest section runs ext_bulk_ingest, which self-gates on
 # the modeled row-op reduction (>= 4x on bursty traffic), on batched

@@ -9,24 +9,37 @@
  * The hardware match processor compares every slot of the fetched row
  * against the expanded search key simultaneously (paper section 3.3,
  * "the search key is compared against the keys fetched from the
- * accessed row in parallel").  The host-side rendition evaluates one
- * *group* of slots per kernel call:
+ * accessed row in parallel").  The host-side rendition gives each
+ * vector lane one *slot*: a kernel call evaluates up to kChunkSlots
+ * slots of a row and answers with a slot bitmap.
  *
  *   - scalar: one slot at a time, 64-bit XOR+AND with per-word early
- *     exit (the PR-2 path; always available, the portable fallback)
- *   - AVX2: a slot's value field is a contiguous bit range of the row,
- *     so its up-to-4 aligned words come from two overlapping 256-bit
- *     loads plus a uniform shift -- one XOR+AND compares 4 row words,
- *     with no data-dependent branches until the per-slot verdict
- *   - AVX-512: the same windowing with 512-bit registers, halving the
- *     loads; a ternary slot's adjacent value+care fields (<= 224-bit
- *     keys) share one window, with the care words realigned by a lane
- *     permute instead of extra loads
+ *     exit (always available; the portable fallback and the oracle the
+ *     vector kernels are tested against)
+ *   - AVX2: 4 slots per vector.  For each key word, one gather fetches
+ *     every live lane's next row word; with the lane's previous word a
+ *     per-lane variable shift pair aligns its slot's key word, and one
+ *     XOR+AND compares the word of 4 slots at once
+ *   - AVX-512: the same with 8 slots per vector and mask registers
  *
- * A kernel call answers "which of these (up to 8) slots are valid and
- * ternary-match the packed key" as a lane bitmask -- the caller owns
- * priority encoding, LPM ranking and extraction, which keeps the three
- * kernels bit-identical by construction everywhere above this line.
+ * A lane's word index and shift follow from its slot's bit position,
+ * slot * slotBits: a group's positions are the group base plus a
+ * constant lane-stride vector, so the address arithmetic is a few
+ * vector adds and shifts per group.  The valid bits arrive through one
+ * more gather, and a lane drops out of the remaining key words (and
+ * their gathers) as soon as it mismatches.  A ternary key of at most
+ * 32 bits has its stored value and care fields in one 64-bit window,
+ * so the care operand is a shift of the already aligned value word.
+ *
+ * The kernels answer "which of these slots are valid and match the
+ * packed key" (or, in exact mode, store exactly the packed key) -- the
+ * caller owns priority encoding, LPM ranking and extraction, which
+ * keeps the kernels bit-identical by construction everywhere above
+ * this line.
+ *
+ * A second family, the multi-key kernels, gives the lanes to *keys*
+ * instead: the batched pipeline compares one slot against up to
+ * kMaxGroupKeys keys per vector.
  *
  * The SIMD kernels carry per-function target attributes, so the file
  * compiles without -mavx2/-mavx512f and the binary stays runnable on
@@ -40,46 +53,63 @@
 
 namespace caram::core::kernels {
 
-/** Maximum lanes any kernel consumes per call (a whole group of slots
- *  is evaluated per invocation, so per-call setup -- loading the packed
- *  key into vector registers, the function-pointer dispatch -- is
- *  amortized across the group). */
-inline constexpr unsigned kMaxLanes = 16;
+/** Slots one single-key kernel call evaluates at most (one bit each
+ *  of the returned bitmap). */
+inline constexpr unsigned kChunkSlots = 64;
 
-/** One group evaluation: up to kMaxLanes slots of one bucket. */
-struct GroupArgs
+/** Where every slot's fields sit in the row (see core/bucket.h). */
+struct SlotLayout
 {
-    /** Packed row words (guarded storage: a 512-bit load starting at
-     *  any in-row word is safe, see mem::MemoryArray::kGuardWords). */
+    uint64_t slotBits = 0; ///< the slot stride
+    unsigned keyBits = 0;  ///< logical key width
+    unsigned keyWords = 0; ///< ceil(keyBits / 64)
+    /** Slots store a care field, keyBits above the value field. */
+    bool ternary = false;
+    uint64_t validBit = 0; ///< offset of the valid bit within a slot
+};
+
+/** One single-key evaluation: slots [start, start + count) of a row. */
+struct SlotArgs
+{
+    /** Packed row words.  A field's second word may lie one past the
+     *  row: rows are contiguous and the array ends in guard words
+     *  (mem::MemoryArray::kGuardWords). */
     const uint64_t *row;
-    /** Packed search value words; readable for 4 words (pack() pads),
-     *  meaningful in [0, keyWords). */
+    /** Packed search value words, meaningful in [0, keyWords). */
     const uint64_t *value;
-    /** Packed search care words, same padding (double as the key-width
-     *  mask -- the padding words are zero). */
+    /** Packed search care words (zero beyond the key width, so they
+     *  double as the width mask in match mode). */
     const uint64_t *care;
+    /** Key-width mask words; read in exact ternary mode only. */
+    const uint64_t *width;
+    unsigned start; ///< first slot
+    unsigned count; ///< slots to evaluate, <= kChunkSlots
     /**
-     * Per-lane bit positions of the lanes' value fields within the row.
-     * Must be readable for kMaxLanes entries (MatchProcessor pads its
-     * table); lanes beyond the group are excluded via validMask.
+     * false: ternary match (a stored don't-care bit matches anything).
+     * true: exact equality -- a ternary slot must also store exactly
+     * the search care mask.  A binary slot stores a fully specified
+     * key, so for it both modes are the same test; callers only ask
+     * binary slots about fully specified keys.
      */
-    const uint64_t *slotBitBase;
-    /** Lane l set = lane l's slot holds a record (and is a real slot). */
-    uint32_t validMask;
-    unsigned keyWords; ///< ceil(keyBits / 64)
-    unsigned keyBits;  ///< logical key width (stored care sits this far up)
-    bool ternary;      ///< stored keys carry their own care mask
+    bool exact;
 };
 
 /**
- * Evaluate one group: returns the bitmask of lanes whose slot is valid
- * and whose stored key ternary-matches the packed search key.
+ * Evaluate one chunk: bit l of the result is set when slot start + l
+ * is valid and its stored key matches (or equals) the packed key.
  */
-using GroupMatchFn = uint32_t (*)(const GroupArgs &args);
+using SlotMatchFn = uint64_t (*)(const SlotLayout &layout,
+                                 const SlotArgs &args);
 
-/** Slots a group call of @p kernel evaluates (currently kMaxLanes for
- *  every kernel; callers must not assume a constant). */
-unsigned kernelLanes(simd::MatchKernel kernel);
+/**
+ * The single-key evaluator for @p kernel.  The caller must only request
+ * kernels that are available (simd::kernelAvailable); asking for a
+ * compiled-out kernel returns the scalar evaluator.
+ */
+SlotMatchFn slotMatchFn(simd::MatchKernel kernel);
+
+/** Slots per multi-key call (the multi-key kernels loop over slots). */
+inline constexpr unsigned kMaxLanes = 16;
 
 /** Keys a multi-key evaluation compares per call. */
 inline constexpr unsigned kMaxGroupKeys = 8;
@@ -95,9 +125,11 @@ inline constexpr unsigned kMaxGroupKeys = 8;
  */
 struct MultiKeyArgs
 {
-    /** Packed row words (same guard guarantees as GroupArgs). */
+    /** Packed row words (same guard guarantees as SlotArgs). */
     const uint64_t *row;
-    /** Per-lane slot bit positions, padded as in GroupArgs. */
+    /** Per-lane slot bit positions, readable for kMaxLanes entries
+     *  (MatchProcessor pads its table); lanes beyond the bucket are
+     *  excluded via validMask. */
     const uint64_t *slotBitBase;
     /** Lane l set = slot lane l holds a record. */
     uint32_t validMask;
@@ -125,13 +157,6 @@ using MultiKeyMatchFn = void (*)(const MultiKeyArgs &args,
 
 /** The multi-key evaluator for @p kernel (scalar fallback as above). */
 MultiKeyMatchFn multiKeyMatchFn(simd::MatchKernel kernel);
-
-/**
- * The evaluator for @p kernel.  The caller must only request kernels
- * that are available (simd::kernelAvailable); asking for a compiled-out
- * kernel returns the scalar evaluator.
- */
-GroupMatchFn groupMatchFn(simd::MatchKernel kernel);
 
 } // namespace caram::core::kernels
 

@@ -30,27 +30,25 @@ MatchProcessor::MatchProcessor(const SliceConfig &config) : cfg(&config)
     const unsigned kb = cfg->logicalKeyBits;
     const unsigned slots = cfg->slotsPerBucket;
     keyWords = static_cast<unsigned>(ceilDiv(kb, 64));
-    // Padded so a SIMD group load starting at any real slot stays inside
+    // Padded so a multi-key group starting at any real slot stays inside
     // the table; the pad lanes are excluded via the group's validMask
     // (base 0 keeps even an unconditional pad-lane gather inside the row).
     slotBitBase.assign(slots + kernels::kMaxLanes, 0);
-    validWord.resize(slots);
-    validShift.resize(slots);
-    for (unsigned s = 0; s < slots; ++s) {
-        const uint64_t base = static_cast<uint64_t>(s) * cfg->slotBits();
-        slotBitBase[s] = base;
-        const uint64_t vb = base + cfg->storedKeyBits() + cfg->dataBits;
-        validWord[s] = static_cast<uint32_t>(vb / 64);
-        validShift[s] = static_cast<uint8_t>(vb % 64);
-    }
+    for (unsigned s = 0; s < slots; ++s)
+        slotBitBase[s] = static_cast<uint64_t>(s) * cfg->slotBits();
     widthMask.assign(keyWords, ~uint64_t{0});
     if (kb % 64 != 0)
         widthMask[keyWords - 1] = maskBits(kb % 64);
 
+    layout_.slotBits = cfg->slotBits();
+    layout_.keyBits = kb;
+    layout_.keyWords = keyWords;
+    layout_.ternary = cfg->ternary;
+    layout_.validBit = cfg->storedKeyBits() + cfg->dataBits;
+
     kernel_ = simd::activeMatchKernel();
-    groupFn_ = kernels::groupMatchFn(kernel_);
+    slotFn_ = kernels::slotMatchFn(kernel_);
     multiKeyFn_ = kernels::multiKeyMatchFn(kernel_);
-    lanes_ = kernels::kernelLanes(kernel_);
 }
 
 void
@@ -59,9 +57,9 @@ MatchProcessor::pack(const Key &search, PackedKey &out) const
     if (search.bits() != cfg->logicalKeyBits)
         fatal("search key width does not match the slice configuration");
     out.key = search;
-    // Padded to Key::kWords so the SIMD kernels can load the buffers as
-    // one full vector; the zero care padding masks the junk a row
-    // window carries past the key width.
+    // Padded to Key::kWords so every kernel may read a full key's worth
+    // of words; the zero care padding masks the junk a gathered row
+    // word carries past the key width.
     out.value.assign(Key::kWords, 0);
     out.careMask.assign(Key::kWords, 0);
     // Key words are normalized (care and value zero beyond the width),
@@ -72,33 +70,6 @@ MatchProcessor::pack(const Key &search, PackedKey &out) const
         out.value[w] = vw[w];
         out.careMask[w] = cw[w];
     }
-}
-
-bool
-MatchProcessor::slotMatchesRaw(const uint64_t *row, unsigned s,
-                               const PackedKey &packed) const
-{
-    const uint64_t *pv = packed.value.data();
-    const uint64_t *pc = packed.careMask.data();
-    const uint64_t base = slotBitBase[s];
-    const unsigned kb = cfg->logicalKeyBits;
-    // Early exit per word: a non-matching slot almost always differs
-    // already in its first word, so the remaining words (and the
-    // stored-care gathers) are skipped for the typical slot.
-    if (!cfg->ternary) {
-        for (unsigned w = 0; w < keyWords; ++w) {
-            if ((gather64(row, base + 64u * w) ^ pv[w]) & pc[w])
-                return false;
-        }
-    } else {
-        for (unsigned w = 0; w < keyWords; ++w) {
-            // Stored care sits exactly kb bits above the value field.
-            if ((gather64(row, base + 64u * w) ^ pv[w]) & pc[w] &
-                gather64(row, base + kb + 64u * w))
-                return false;
-        }
-    }
-    return true;
 }
 
 uint32_t
@@ -115,23 +86,20 @@ MatchProcessor::groupValidMask(const uint64_t *row, unsigned start,
     return mask;
 }
 
-uint32_t
-MatchProcessor::groupMatchMask(const uint64_t *row, unsigned start,
-                               const PackedKey &packed) const
+uint64_t
+MatchProcessor::chunkMatchMask(const uint64_t *row, unsigned start,
+                               const PackedKey &packed, bool exact,
+                               unsigned count) const
 {
-    const uint32_t valid = groupValidMask(row, start, lanes_);
-    if (!valid)
-        return 0;
-    kernels::GroupArgs args;
+    kernels::SlotArgs args;
     args.row = row;
     args.value = packed.value.data();
     args.care = packed.careMask.data();
-    args.slotBitBase = slotBitBase.data() + start;
-    args.validMask = valid;
-    args.keyWords = keyWords;
-    args.keyBits = cfg->logicalKeyBits;
-    args.ternary = cfg->ternary;
-    return groupFn_(args);
+    args.width = widthMask.data();
+    args.start = start;
+    args.count = std::min(count, cfg->slotsPerBucket - start);
+    args.exact = exact;
+    return slotFn_(layout_, args);
 }
 
 void
@@ -330,30 +298,17 @@ MatchProcessor::searchBucketPacked(const BucketView &bucket,
     const uint64_t *row = bucket.rowData();
     int first = -1;
     bool multiple = false;
-    if (kernel_ == simd::MatchKernel::Scalar) {
-        for (unsigned s = 0; s < cfg->slotsPerBucket; ++s) {
-            if (!slotValidRaw(row, s) || !slotMatchesRaw(row, s, packed))
-                continue;
-            if (first < 0) {
-                first = static_cast<int>(s);
-            } else {
-                multiple = true;
-                break;
-            }
+    for (unsigned g = 0; g < cfg->slotsPerBucket && !multiple;
+         g += kernels::kChunkSlots) {
+        uint64_t mask = chunkMatchMask(row, g, packed, false);
+        if (!mask)
+            continue;
+        if (first < 0) {
+            first = static_cast<int>(
+                g + static_cast<unsigned>(std::countr_zero(mask)));
+            mask &= mask - 1; // a second bit here = multiple
         }
-    } else {
-        for (unsigned g = 0; g < cfg->slotsPerBucket && !multiple;
-             g += lanes_) {
-            uint32_t mask = groupMatchMask(row, g, packed);
-            if (!mask)
-                continue;
-            if (first < 0) {
-                first = static_cast<int>(
-                    g + static_cast<unsigned>(std::countr_zero(mask)));
-                mask &= mask - 1; // a second lane here = multiple
-            }
-            multiple = mask != 0;
-        }
+        multiple = mask != 0;
     }
     if (first < 0)
         return BucketMatch{};
@@ -368,29 +323,17 @@ MatchProcessor::searchBucketBestPacked(const BucketView &bucket,
     int best = -1;
     unsigned best_pop = 0;
     unsigned matches = 0;
-    if (kernel_ == simd::MatchKernel::Scalar) {
-        for (unsigned s = 0; s < cfg->slotsPerBucket; ++s) {
-            if (!slotValidRaw(row, s) || !slotMatchesRaw(row, s, packed))
-                continue;
+    for (unsigned g = 0; g < cfg->slotsPerBucket;
+         g += kernels::kChunkSlots) {
+        for (uint64_t mask = chunkMatchMask(row, g, packed, false); mask;
+             mask &= mask - 1) {
+            const unsigned s =
+                g + static_cast<unsigned>(std::countr_zero(mask));
             ++matches;
             const unsigned pop = storedCarePopcount(row, s);
             if (best < 0 || pop > best_pop) {
                 best = static_cast<int>(s);
                 best_pop = pop;
-            }
-        }
-    } else {
-        for (unsigned g = 0; g < cfg->slotsPerBucket; g += lanes_) {
-            for (uint32_t mask = groupMatchMask(row, g, packed); mask;
-                 mask &= mask - 1) {
-                const unsigned s =
-                    g + static_cast<unsigned>(std::countr_zero(mask));
-                ++matches;
-                const unsigned pop = storedCarePopcount(row, s);
-                if (best < 0 || pop > best_pop) {
-                    best = static_cast<int>(s);
-                    best_pop = pop;
-                }
             }
         }
     }
@@ -399,12 +342,30 @@ MatchProcessor::searchBucketBestPacked(const BucketView &bucket,
     return extract(bucket, static_cast<unsigned>(best), matches > 1);
 }
 
+int
+MatchProcessor::findEqualPacked(const BucketView &bucket,
+                                const PackedKey &packed) const
+{
+    // A binary slot always stores a fully specified key.
+    if (!cfg->ternary && !packed.key.fullySpecified())
+        return -1;
+    const uint64_t *row = bucket.rowData();
+    for (unsigned g = 0; g < cfg->slotsPerBucket;
+         g += kernels::kChunkSlots) {
+        const uint64_t mask = chunkMatchMask(row, g, packed, true);
+        if (mask)
+            return static_cast<int>(
+                g + static_cast<unsigned>(std::countr_zero(mask)));
+    }
+    return -1;
+}
+
 bool
 MatchProcessor::slotMatchesPacked(const BucketView &bucket, unsigned slot,
                                   const PackedKey &packed) const
 {
     const uint64_t *row = bucket.rowData();
-    return slotValidRaw(row, slot) && slotMatchesRaw(row, slot, packed);
+    return chunkMatchMask(row, slot, packed, false, 1) != 0;
 }
 
 unsigned
@@ -413,16 +374,10 @@ MatchProcessor::countMatches(const BucketView &bucket,
 {
     const uint64_t *row = bucket.rowData();
     unsigned matched = 0;
-    if (kernel_ == simd::MatchKernel::Scalar) {
-        for (unsigned s = 0; s < cfg->slotsPerBucket; ++s) {
-            if (slotValidRaw(row, s) && slotMatchesRaw(row, s, packed))
-                ++matched;
-        }
-    } else {
-        for (unsigned g = 0; g < cfg->slotsPerBucket; g += lanes_) {
-            matched += static_cast<unsigned>(
-                std::popcount(groupMatchMask(row, g, packed)));
-        }
+    for (unsigned g = 0; g < cfg->slotsPerBucket;
+         g += kernels::kChunkSlots) {
+        matched += static_cast<unsigned>(
+            std::popcount(chunkMatchMask(row, g, packed, false)));
     }
     return matched;
 }

@@ -23,14 +23,11 @@
  *    pack(), which snapshots the search key's value/care words into a
  *    reusable template (a software rendition of the hardware's
  *    key-expand stage, whose replication across slots is free wiring).
- *    searchBucketPacked() then evaluates each slot as XOR+AND over
- *    64-bit words gathered from the row at the slot's bit offset, with
- *    a per-word early exit -- no bit-by-bit decode, no Key
- *    materialization, no allocation.  Gathering lazily per slot beats
- *    eagerly pre-aligning the key for every slot: a non-matching slot
- *    (the common case) is rejected after a single gathered word, so
- *    most of an eager O(slots x words) expansion would be thrown away.
- *    All CaRamSlice search paths use this.
+ *    searchBucketPacked() then evaluates the row's slots as XOR+AND
+ *    over 64-bit words gathered from the row at each slot's bit
+ *    offset, with a per-word early exit -- no bit-by-bit decode, no Key
+ *    materialization, no allocation.  All CaRamSlice search paths use
+ *    this.
  *  - The *reference* path (matchVector/searchBucket/searchBucketBest):
  *    the original per-slot comparison through BucketView accessors,
  *    kept as the oracle the differential tests check the fast path
@@ -38,12 +35,14 @@
  *
  * The word-parallel path itself dispatches between comparator kernels
  * (core/match_kernels.h): the scalar per-slot loop, an AVX2 kernel
- * evaluating 4 slots per pass, and an AVX-512 kernel evaluating 8.
- * The kernel is sampled once at construction (common/cpuid.h), so a
- * processor never changes kernels mid-lifetime; rebuilding the slice
- * (or the processor) picks up a changed override/environment.  All
- * kernels feed the same priority-encode/LPM/extract logic, which keeps
- * them bit-identical above the match vector by construction.
+ * comparing 4 slots per vector, and an AVX-512 kernel comparing 8.
+ * One kernel call covers up to 64 slots of the row and returns their
+ * match bitmap.  The kernel is sampled once at construction
+ * (common/cpuid.h), so a processor never changes kernels mid-lifetime;
+ * rebuilding the slice (or the processor) picks up a changed
+ * override/environment.  All kernels feed the same
+ * priority-encode/LPM/extract logic, which keeps them bit-identical
+ * above the match vector by construction.
  */
 
 #include <array>
@@ -112,6 +111,15 @@ class MatchProcessor
      */
     BucketMatch searchBucketBestPacked(const BucketView &bucket,
                                        const PackedKey &packed) const;
+
+    /**
+     * The first valid slot storing exactly @p packed's key (value and,
+     * for a ternary slice, care mask), or -1 -- the same slot a scan
+     * comparing bucket.slotKey(i) == packed.key would find, without
+     * decoding a Key per slot.
+     */
+    int findEqualPacked(const BucketView &bucket,
+                        const PackedKey &packed) const;
 
     /** Valid-and-matching test of one slot on the packed path. */
     bool slotMatchesPacked(const BucketView &bucket, unsigned slot,
@@ -217,45 +225,43 @@ class MatchProcessor
     bool
     slotValidRaw(const uint64_t *row, unsigned s) const
     {
-        return (row[validWord[s]] >> validShift[s]) & 1u;
+        const uint64_t vb = slotBitBase[s] + layout_.validBit;
+        return (row[vb / 64] >> (vb % 64)) & 1u;
     }
 
-    bool slotMatchesRaw(const uint64_t *row, unsigned s,
-                        const PackedKey &packed) const;
     unsigned storedCarePopcount(const uint64_t *row, unsigned s) const;
 
-    /** Valid bits of the lanes_ slots starting at @p start, as a lane
-     *  bitmask (lanes past the last slot read as invalid). */
     /** Valid bits of the @p width slots starting at @p start. */
     uint32_t groupValidMask(const uint64_t *row, unsigned start,
                             unsigned width) const;
 
-    /** All lanes' match bits for the group starting at @p start. */
-    uint32_t groupMatchMask(const uint64_t *row, unsigned start,
-                            const PackedKey &packed) const;
+    /** Match (or, with @p exact, equality) bitmap of the up to
+     *  @p count slots starting at @p start. */
+    uint64_t chunkMatchMask(const uint64_t *row, unsigned start,
+                            const PackedKey &packed, bool exact,
+                            unsigned count = kernels::kChunkSlots) const;
 
-    /** Per-slot key-match masks for lanes_ slots starting at @p start:
-     *  out[l] = key lanes (within keyMask) matching slot start+l. */
+    /** Per-slot key-match masks for kMaxLanes slots starting at
+     *  @p start: out[l] = key lanes (within keyMask) matching slot
+     *  start+l. */
     void multiKeyMatchMask(const uint64_t *row, unsigned start,
                            const PackedKeyGroup &group, uint32_t keyMask,
                            uint32_t out[kernels::kMaxLanes]) const;
 
     const SliceConfig *cfg;
 
-    // Row-layout tables derived from the configuration once: per slot,
-    // the bit position of its value field and its valid bit's
-    // word/shift; per key word, the mask of bits inside the key width.
+    // Row layout derived from the configuration once: where a slot's
+    // fields sit, per slot the bit position of its value field, and per
+    // key word the mask of bits inside the key width.
     unsigned keyWords = 0; ///< ceil(logicalKeyBits / 64)
+    kernels::SlotLayout layout_;
     std::vector<uint64_t> slotBitBase; ///< padded to kMaxLanes past slots
-    std::vector<uint32_t> validWord;
-    std::vector<uint8_t> validShift;
     std::vector<uint64_t> widthMask; ///< [keyWords]
 
     // Comparator kernel, sampled once at construction.
     simd::MatchKernel kernel_ = simd::MatchKernel::Scalar;
-    kernels::GroupMatchFn groupFn_ = nullptr;
+    kernels::SlotMatchFn slotFn_ = nullptr;
     kernels::MultiKeyMatchFn multiKeyFn_ = nullptr;
-    unsigned lanes_ = 1; ///< slots per group call of the active kernel
 };
 
 } // namespace caram::core

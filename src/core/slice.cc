@@ -1245,30 +1245,30 @@ CaRamSlice::searchBatch(std::span<const Key> keys, SearchResult *out)
 }
 
 bool
-CaRamSlice::eraseAt(uint64_t home, const Key &key)
+CaRamSlice::eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed)
 {
+    const Key &key = packed.key;
     const unsigned reach = bucket(home).reach();
     for (unsigned d = 0; d <= reach; ++d) {
         const uint64_t row = probeRow(home, d, key);
         BucketView b = bucket(row);
-        for (unsigned i = 0; i < b.slots(); ++i) {
-            if (!b.slotValid(i) || b.slotKey(i) != key)
-                continue;
-            {
-                const RowWriteGuard wg(*this, row);
-                filter_.remove(row, key);
-                b.clearSlot(i);
-                b.setUsedCount(b.usedCount() - 1);
-            }
-            // The home bucket's reach is left unchanged (a conservative
-            // over-approximation); adoptRamContents() tightens it.
-            --homeDemandPerBucket[home];
-            distanceHist.remove(d);
-            --recordCount;
-            if (d > 0)
-                --spilledCount;
-            return true;
+        const int slot = matcher.findEqualPacked(b, packed);
+        if (slot < 0)
+            continue;
+        {
+            const RowWriteGuard wg(*this, row);
+            filter_.remove(row, key);
+            b.clearSlot(static_cast<unsigned>(slot));
+            b.setUsedCount(b.usedCount() - 1);
         }
+        // The home bucket's reach is left unchanged (a conservative
+        // over-approximation); adoptRamContents() tightens it.
+        --homeDemandPerBucket[home];
+        distanceHist.remove(d);
+        --recordCount;
+        if (d > 0)
+            --spilledCount;
+        return true;
     }
     return false;
 }
@@ -1278,8 +1278,10 @@ CaRamSlice::erase(const Key &key)
 {
     const ScratchUse guard(*this);
     unsigned removed = 0;
-    for (uint64_t home : homeRowsInto(key))
-        removed += eraseAt(home, key) ? 1 : 0;
+    const auto &homes = homeRowsInto(key);
+    matcher.pack(key, packedKey_);
+    for (uint64_t home : homes)
+        removed += eraseAt(home, packedKey_) ? 1 : 0;
     return removed;
 }
 

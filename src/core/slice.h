@@ -601,8 +601,9 @@ class CaRamSlice
                               const uint32_t *idx, unsigned group_size,
                               SearchResult *out, bool pf);
 
-    /** Remove one copy homed at @p home; returns true when found. */
-    bool eraseAt(uint64_t home, const Key &key);
+    /** Remove one copy of @p packed's key homed at @p home; returns
+     *  true when found. */
+    bool eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed);
 
     /**
      * Writer side of the row seqlock: bump the row's (striped) sequence

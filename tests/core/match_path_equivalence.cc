@@ -15,11 +15,16 @@
  * The sweep runs once under the default kernel dispatch and once per
  * *forced* comparator kernel (scalar / AVX2 / AVX-512), so every kernel
  * the runtime dispatch can select is pinned bit-identical to the
- * reference.  The multi-key group evaluator and the batched slice
- * search are checked against their per-key serial definitions the same
- * way.
+ * reference.  Each bucket differential runs at several row widths --
+ * partial vector groups, whole 64-slot kernel chunks and rows spanning
+ * three of them -- so every vector lane and every chunk is exercised.
+ * The packed exact-equality scan behind erase is checked against the
+ * Key-decoding reference the same way.  The multi-key group evaluator
+ * and the batched slice search are checked against their per-key
+ * serial definitions.
  */
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <tuple>
@@ -27,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bitops.h"
 #include "common/cpuid.h"
 #include "common/random.h"
 #include "core/match_processor.h"
@@ -61,53 +67,133 @@ randomKey(Rng &rng, unsigned width, bool ternary, double care_p)
 // ---------------------------------------------------------------------
 // Bucket level: packed vs reference over one randomized bucket.
 
-void
-runBucketDifferential(unsigned width, bool ternary, int fills)
+/** Row widths of the bucket differentials: one partial AVX-512 group,
+ *  a full group plus a partial one, and rows of 1.5 and 3 64-slot
+ *  kernel chunks. */
+constexpr unsigned kSlotCounts[] = {8, 13, 96, 192};
+
+/** A one-bucket fixture of @p slots slots; the 13-bit data field
+ *  deliberately misaligns the slot stride. */
+SliceConfig
+bucketConfig(unsigned width, bool ternary, unsigned slots)
 {
     SliceConfig cfg;
     cfg.indexBits = 2;
     cfg.logicalKeyBits = width;
     cfg.ternary = ternary;
-    cfg.slotsPerBucket = 8;
-    cfg.dataBits = 13; // deliberately misalign the slot stride
+    cfg.slotsPerBucket = slots;
+    cfg.dataBits = 13;
     cfg.maxProbeDistance = 3;
     cfg.validate();
+    return cfg;
+}
+
+/** Low-entropy keys so lookups hit, collide and multi-match often. */
+Key
+clusteredKey(Rng &rng, unsigned width, bool ternary)
+{
+    Key k = randomKey(rng, width, ternary, 0.6);
+    // Zero most value bits to cluster the population.
+    for (unsigned p = 0; p < width; ++p) {
+        if (p % 8 != 0 && k.careBitAt(p))
+            k.setBitAt(p, false, true);
+    }
+    return k;
+}
+
+/** A key of @p width don't-care bits: it matches every valid slot. */
+Key
+wildcardKey(unsigned width)
+{
+    Key k(width);
+    for (unsigned p = 0; p < width; ++p)
+        k.setBitAt(p, false, false);
+    return k;
+}
+
+/** A fully specified key of @p width one bits. */
+Key
+onesKey(unsigned width)
+{
+    Key k(width);
+    for (unsigned p = 0; p < width; ++p)
+        k.setBitAt(p, true, true);
+    return k;
+}
+
+/**
+ * Set every bit of row 1 past its last slot (the aux field and the row
+ * padding) and all of row 2.  A kernel lane that reads past the last
+ * slot then sees a valid slot storing all ones, which a wildcard or
+ * all-ones search key matches.
+ */
+void
+poisonPastSlots(mem::MemoryArray &array, const SliceConfig &cfg)
+{
+    uint64_t *row = array.rowData(1);
+    const uint64_t first = uint64_t{cfg.slotsPerBucket} * cfg.slotBits();
+    for (uint64_t w = first / 64; w < array.wordsPerRow(); ++w)
+        row[w] |= w == first / 64 ? ~maskBits(first % 64) : ~uint64_t{0};
+    std::fill_n(array.rowData(2), array.wordsPerRow(), ~uint64_t{0});
+}
+
+/**
+ * Refill row 1 of @p b: about one slot in five is left empty and one
+ * in seven is written then cleared (an erased slot keeps its stale key
+ * bits behind a zero valid bit); every third fill is sparse instead, so
+ * a row's first match often sits in a late lane group.  The bits past
+ * the last slot are poisoned.  Keys come from @p make; the valid ones
+ * are returned.
+ */
+template <typename MakeKey>
+std::vector<Key>
+fillBucket(Rng &rng, const SliceConfig &cfg, mem::MemoryArray &array,
+           BucketView &b, int fill, MakeKey make)
+{
+    array.clearRow(1);
+    poisonPastSlots(array, cfg);
+    const double empty_p = fill % 3 == 2 ? 0.85 : 0.2;
+    std::vector<Key> stored;
+    for (unsigned s = 0; s < cfg.slotsPerBucket; ++s) {
+        if (rng.chance(empty_p))
+            continue;
+        const Key k = make();
+        b.writeSlot(s, k, rng.below(1u << cfg.dataBits));
+        if (rng.chance(0.15))
+            b.clearSlot(s);
+        else
+            stored.push_back(k);
+    }
+    return stored;
+}
+
+void
+runBucketDifferential(unsigned width, bool ternary, unsigned slots,
+                      int fills)
+{
+    const SliceConfig cfg = bucketConfig(width, ternary, slots);
     mem::MemoryArray array(cfg.rows(), cfg.storageRowBits());
     BucketView b(array, cfg, 1);
     MatchProcessor mp(cfg);
     MatchProcessor::PackedKey packed;
 
-    Rng rng(width * 1013u + (ternary ? 1 : 0));
-    // Low-entropy keys so lookups hit, collide and multi-match often.
-    auto clustered_key = [&] {
-        Key k = randomKey(rng, width, ternary, 0.6);
-        // Zero most value bits to cluster the population.
-        for (unsigned p = 0; p < width; ++p) {
-            if (p % 8 != 0 && k.careBitAt(p))
-                k.setBitAt(p, false, true);
-        }
-        return k;
-    };
+    Rng rng(width * 1013u + slots * 7u + (ternary ? 1 : 0));
+    auto clustered_key = [&] { return clusteredKey(rng, width, ternary); };
 
     const int kFills = fills;
-    constexpr int kLookupsPerFill = 64; // > 10^5 lookups per variant
+    constexpr int kLookupsPerFill = 64;
     for (int fill = 0; fill < kFills; ++fill) {
-        array.clearRow(1);
-        std::vector<Key> stored;
-        for (unsigned s = 0; s < cfg.slotsPerBucket; ++s) {
-            if (rng.chance(0.2))
-                continue; // leave holes in the valid pattern
-            const Key k = clustered_key();
-            b.writeSlot(s, k, rng.below(1u << 13));
-            stored.push_back(k);
-        }
+        const std::vector<Key> stored =
+            fillBucket(rng, cfg, array, b, fill, clustered_key);
         for (int i = 0; i < kLookupsPerFill; ++i) {
-            // Half fresh random searches, half replays of a stored key
-            // (forced hits, including exact ternary duplicates).
-            const Key search =
-                (!stored.empty() && rng.chance(0.5))
-                    ? stored[rng.below(stored.size())]
-                    : clustered_key();
+            // Half replays of a stored key (forced hits, including
+            // exact ternary duplicates), a few wildcards (every valid
+            // slot matches), the rest fresh random searches.
+            const double r = rng.uniform();
+            const Key search = !stored.empty() && r < 0.5
+                ? stored[rng.below(stored.size())]
+                : r < 0.55 ? wildcardKey(width)
+                           : clustered_key();
             mp.pack(search, packed);
 
             const BucketMatch fast = mp.searchBucketPacked(b, packed);
@@ -148,16 +234,40 @@ class PackedVsReference
 {
 };
 
+/** The differential at every kSlotCounts width, with the fill count
+ *  scaled so each width compares about as many slots as
+ *  @p fills_at_8 fills of an 8-slot row. */
+void
+runAcrossSlotCounts(unsigned width, bool ternary, int fills_at_8)
+{
+    for (unsigned slots : kSlotCounts) {
+        SCOPED_TRACE(::testing::Message() << slots << " slots");
+        runBucketDifferential(
+            width, ternary, slots,
+            std::max(24, fills_at_8 * 8 / static_cast<int>(slots)));
+    }
+}
+
 TEST_P(PackedVsReference, BucketSearchesAreIdentical)
 {
     const auto [width, ternary] = GetParam();
-    runBucketDifferential(width, ternary, 1600);
+    // > 10^5 lookups per variant on the 8-slot row.
+    runAcrossSlotCounts(width, ternary, 1600);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Widths, PackedVsReference,
     ::testing::Combine(::testing::Values(63u, 64u, 65u, 144u),
                        ::testing::Bool()));
+
+/** Key widths of the forced-kernel sweeps: 32 keeps a ternary slot's
+ *  value and care in one 64-bit window (the fused path), 63/65 straddle
+ *  a word boundary, 64/128 are word-aligned, 144 is three words. */
+const auto kKernelWidths =
+    ::testing::Values(32u, 63u, 64u, 65u, 128u, 144u);
+const auto kAllKernels = ::testing::Values(simd::MatchKernel::Scalar,
+                                           simd::MatchKernel::Avx2,
+                                           simd::MatchKernel::Avx512);
 
 // The same differential under each *forced* kernel: what the runtime
 // dispatch selects on another host must behave exactly like what it
@@ -177,16 +287,94 @@ TEST_P(KernelForcedEquivalence, BucketSearchesAreIdentical)
         GTEST_SKIP() << "kernel " << simd::kernelName(kernel)
                      << " not available on this host/build";
     KernelOverrideGuard guard(kernel);
-    runBucketDifferential(width, ternary, 300);
+    runAcrossSlotCounts(width, ternary, 300);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, KernelForcedEquivalence,
-    ::testing::Combine(::testing::Values(simd::MatchKernel::Scalar,
-                                         simd::MatchKernel::Avx2,
-                                         simd::MatchKernel::Avx512),
-                       ::testing::Values(63u, 64u, 65u, 144u),
-                       ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(Kernels, KernelForcedEquivalence,
+                         ::testing::Combine(kAllKernels, kKernelWidths,
+                                            ::testing::Bool()));
+
+// ---------------------------------------------------------------------
+// Exact equality (the erase scan): findEqualPacked against the
+// reference scan that decodes every valid slot's Key and compares.
+
+void
+runEqualityDifferential(unsigned width, bool ternary, unsigned slots,
+                        int fills)
+{
+    const SliceConfig cfg = bucketConfig(width, ternary, slots);
+    mem::MemoryArray array(cfg.rows(), cfg.storageRowBits());
+    BucketView b(array, cfg, 1);
+    MatchProcessor mp(cfg);
+    MatchProcessor::PackedKey packed;
+
+    Rng rng(width * 2027u + slots * 11u + (ternary ? 1 : 0));
+    // A small pool of keys, so a row holds several copies of one key.
+    std::vector<Key> pool;
+    for (unsigned i = 0; i < std::max(4u, slots / 4); ++i)
+        pool.push_back(clusteredKey(rng, width, ternary));
+    auto pooled = [&] { return pool[rng.below(pool.size())]; };
+
+    // Near misses: a pooled key with one bit's value or (ternary) care
+    // flipped -- equal values under different care masks must not
+    // compare equal.  A binary slice also sees don't-care keys, which
+    // no binary slot can store.
+    auto near_miss = [&] {
+        Key k = pooled();
+        const unsigned p = static_cast<unsigned>(rng.below(width));
+        if (ternary && rng.chance(0.5))
+            k.setBitAt(p, k.valueBitAt(p), !k.careBitAt(p));
+        else if (!ternary && rng.chance(0.3))
+            k.setBitAt(p, false, false);
+        else
+            k.setBitAt(p, !k.valueBitAt(p), true);
+        return k;
+    };
+
+    for (int fill = 0; fill < fills; ++fill) {
+        fillBucket(rng, cfg, array, b, fill, pooled);
+        for (int i = 0; i < 32; ++i) {
+            // The all-ones key equals the poisoned bits past the row.
+            const double r = rng.uniform();
+            const Key search = r < 0.4 ? pooled()
+                : r < 0.8              ? near_miss()
+                : r < 0.85             ? onesKey(width)
+                                       : clusteredKey(rng, width, ternary);
+            mp.pack(search, packed);
+            int want = -1;
+            for (unsigned s = 0; s < slots && want < 0; ++s) {
+                if (b.slotValid(s) && b.slotKey(s) == search)
+                    want = static_cast<int>(s);
+            }
+            ASSERT_EQ(mp.findEqualPacked(b, packed), want)
+                << search.toString();
+        }
+    }
+}
+
+class EqualityForced
+    : public ::testing::TestWithParam<
+          std::tuple<simd::MatchKernel, unsigned, bool>>
+{
+};
+
+TEST_P(EqualityForced, FindEqualMatchesKeyDecode)
+{
+    const auto [kernel, width, ternary] = GetParam();
+    if (!simd::kernelAvailable(kernel))
+        GTEST_SKIP() << "kernel " << simd::kernelName(kernel)
+                     << " not available on this host/build";
+    KernelOverrideGuard guard(kernel);
+    for (unsigned slots : kSlotCounts) {
+        SCOPED_TRACE(::testing::Message() << slots << " slots");
+        runEqualityDifferential(width, ternary, slots,
+                                std::max(24, 1600 / static_cast<int>(slots)));
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kernels, EqualityForced,
+                         ::testing::Combine(kAllKernels, kKernelWidths,
+                                            ::testing::Bool()));
 
 // ---------------------------------------------------------------------
 // Multi-key group evaluator: one bucket access serving several packed

@@ -10,8 +10,8 @@
  * (with a reserved trace vector), searchBatch() (which additionally
  * groups keys out of the per-slice BatchScratch), countMatching() and
  * the candidate expansion of ternary keys with don't-care hash bits must
- * all be allocation-free.  Counted with a global operator new/delete
- * hook.
+ * all be allocation-free, and so must erase()'s packed equality scan.
+ * Counted with a global operator new/delete hook.
  */
 
 #include <array>
@@ -139,13 +139,13 @@ struct Fixture
     std::unique_ptr<CaRamSlice> slice;
     std::vector<Key> keys;
 
-    Fixture(unsigned key_bits, bool ternary, bool lpm)
+    Fixture(unsigned key_bits, bool ternary, bool lpm, unsigned slots = 8)
     {
         cfg.indexBits = 6;
         cfg.logicalKeyBits = key_bits;
         cfg.ternary = ternary;
         cfg.lpm = lpm;
-        cfg.slotsPerBucket = 8;
+        cfg.slotsPerBucket = slots;
         cfg.dataBits = 16;
         cfg.maxProbeDistance = 8;
         cfg.validate();
@@ -213,6 +213,40 @@ TEST(SearchNoAlloc, LpmSearchLoop)
         for (int i = 0; i < 1000; ++i)
             f.slice->search(f.keys[i % f.keys.size()]);
     });
+    EXPECT_EQ(n, 0u);
+}
+
+TEST(SearchNoAlloc, WideRowLpmSearchLoop)
+{
+    // The IPv4 shape: 32-bit ternary LPM over 192-slot rows, which the
+    // match kernels cover in three 64-slot chunks.
+    Fixture f(32, true, true, 192);
+    const uint64_t n = allocationsIn([&] {
+        for (int i = 0; i < 1000; ++i)
+            f.slice->search(f.keys[i % f.keys.size()]);
+    });
+    EXPECT_EQ(n, 0u);
+}
+
+TEST(SearchNoAlloc, EraseLoop)
+{
+    // erase() packs into the per-slice scratch and scans rows with the
+    // packed equality test.  Only the erases are counted: the reinsert
+    // that keeps the table steady builds an InsertSummary.
+    Fixture f(144, true, false);
+    for (const Key &k : f.keys) { // warm-up: sizes the scratch
+        f.slice->erase(k);
+        ASSERT_TRUE(f.slice->insert(Record{k, 7}).ok);
+    }
+    uint64_t n = 0;
+    for (int i = 0; i < 1000; ++i) {
+        const Key &k = f.keys[i % f.keys.size()];
+        const uint64_t before = g_allocs.load();
+        const unsigned removed = f.slice->erase(k);
+        n += g_allocs.load() - before;
+        EXPECT_GE(removed, 1u);
+        ASSERT_TRUE(f.slice->insert(Record{k, 7}).ok);
+    }
     EXPECT_EQ(n, 0u);
 }
 
