@@ -70,13 +70,21 @@
 #      wins over the environment knob (and inline engines ignore the
 #      knob entirely).
 #
+#   9. An ASan+UBSan build in its own directory (-fsanitize=address,
+#      undefined with -fno-sanitize-recover=undefined, plus
+#      -D_GLIBCXX_ASSERTIONS for libstdc++'s bounds checks, e.g. span
+#      and vector indexing): the full suite must run with no sanitizer
+#      report and no failed assertion.
+#
 # Usage: scripts/ci_build_matrix.sh [scalar-build-dir] [simd-build-dir]
-#        (defaults build-scalar and build)
+#                                   [asan-build-dir]
+#        (defaults build-scalar, build and build-asan)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALAR_DIR="${1:-build-scalar}"
 SIMD_DIR="${2:-build}"
+ASAN_DIR="${3:-build-asan}"
 
 echo "=== leg 1: -DCARAM_SIMD=OFF build + full ctest ==="
 cmake -B "$SCALAR_DIR" -S . -DCARAM_SIMD=OFF
@@ -112,5 +120,11 @@ CARAM_WRITER_LANES=4 CARAM_RESULT_CACHE_ENTRIES=4096 \
 echo "=== leg 8: SIMD build, background maintenance forced on ==="
 CARAM_MAINTENANCE=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
+
+echo "=== leg 9: ASan+UBSan build + full ctest ==="
+cmake -B "$ASAN_DIR" -S . -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined \
+-fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
+cmake --build "$ASAN_DIR" -j"$(nproc)"
+ctest --test-dir "$ASAN_DIR" --output-on-failure
 
 echo "build matrix: all legs passed"

@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdlib>
 #include <optional>
 
@@ -176,8 +175,20 @@ struct ParallelSearchEngine::MutationRun
 /** Per-port result stream and instrumentation. */
 struct ParallelSearchEngine::PortState
 {
+    PortState()
+    {
+        // Size the log2 latency histogram for every bin up front (see
+        // PortStats::latencyLog2Us) -- weight 0 adds no observation.
+        stats.latencyLog2Us.add(63, 0);
+    }
+
+    /** Result stream: responses [resultHead, results.size()) are
+     *  published and not yet fetched.  A publish drops the fetched
+     *  prefix once it is at least half the vector, so the storage is
+     *  reused (no steady-state allocation) once the consumer keeps up. */
     std::mutex resultMutex;
-    std::deque<core::PortResponse> results;
+    std::vector<core::PortResponse> results;
+    std::size_t resultHead = 0;
     PortStats stats;
     /** concurrentMutation hand-off flag: true from the moment the
      *  owning worker passes a mutation run to the writer lane until the
@@ -188,7 +199,7 @@ struct ParallelSearchEngine::PortState
     std::atomic<bool> busy{false};
     /** Jobs deferred while the writer lane holds the port, in
      *  submission order.  Touched only by the owning worker. */
-    std::deque<Job> pending;
+    std::vector<Job> pending;
     /**
      * Writer-combining staging: mutation runs the owner appended while
      * the port's lane was already executing a hand-off for it.  The
@@ -201,7 +212,7 @@ struct ParallelSearchEngine::PortState
      * jump ahead of a deferred search.
      */
     std::mutex stageMutex;
-    std::deque<MutationRun> staged;
+    std::vector<MutationRun> staged;
     /** Cached Database::searchBandwidthMsps (bit-cast double), written
      *  by refreshAnalyticBounds() at quiesced points and read by
      *  report() -- the live computation would read non-atomic slice
@@ -240,7 +251,7 @@ struct ParallelSearchEngine::Worker
     std::atomic<uint64_t> adaptiveSerialRuns{0};
     std::atomic<uint64_t> batchedInsertRuns{0};
     /** Mutation runs this worker appended to a busy port's staging
-     *  deque (writer combining) instead of a fresh hand-off. */
+     *  list (writer combining) instead of a fresh hand-off. */
     std::atomic<uint64_t> stagedRuns{0};
     /** Result-cache stamping scratch: candidate-home scratch for
      *  Database::searchRegionMask, and the per-key region masks /
@@ -271,6 +282,20 @@ struct ParallelSearchEngine::Worker
      *  the shared shard queue are empty; producers ring after pushing. */
     std::mutex bellMutex;
     std::condition_variable bell;
+    /** Per-run publish buffer: responses finished since the last
+     *  publish(), in execution order, and the requests executed since
+     *  then (maintenance steps finish without a response).  Reused, so
+     *  steady-state publishing allocates nothing. */
+    struct Finished
+    {
+        core::PortResponse resp;
+        std::chrono::steady_clock::time_point enqueued;
+    };
+    std::vector<Finished> finished;
+    uint64_t executed = 0;
+    /** drainPending() swaps a port's deferred jobs in here, keeping
+     *  both vectors' storage alive across hand-offs. */
+    std::vector<Job> redispatch;
 };
 
 ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
@@ -391,53 +416,88 @@ ParallelSearchEngine::start()
 }
 
 void
-ParallelSearchEngine::finishResponse(
-    core::PortResponse resp,
-    std::chrono::steady_clock::time_point enqueued)
+ParallelSearchEngine::finish(Worker &self, core::PortResponse resp,
+                             std::chrono::steady_clock::time_point enqueued)
 {
-    PortState &port = *ports[resp.port];
-    const bool hit = resp.hit;
-    const bool ok = resp.ok;
-    if (resp.op == core::PortOp::Search)
-        port.stats.bucketsAccessed.add(resp.bucketsAccessed);
+    self.finished.push_back(Worker::Finished{std::move(resp), enqueued});
+}
 
-    const auto now = std::chrono::steady_clock::now();
-    const double us =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                             enqueued)
-            .count() /
-        1e3;
-    port.stats.latencyUs.add(us);
-    port.stats.latencyLog2Us.add(
-        static_cast<uint64_t>(std::floor(std::log2(1.0 + us))));
-
-    {
-        std::lock_guard<std::mutex> lock(port.resultMutex);
-        port.results.push_back(std::move(resp));
+void
+ParallelSearchEngine::publish(Worker &self)
+{
+    if (!self.finished.empty()) {
+        const auto now = std::chrono::steady_clock::now();
+        // Push the wall-clock end stamp (monotonic max -- publishes
+        // from different threads finish out of order) *before*
+        // advancing the completion counters: report() reads `completed`
+        // first, so every completion it counts has already published
+        // its end stamp, and a mid-run wallMsps can understate but
+        // never inflate the throughput.
+        const uint64_t end_ns = static_cast<uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                now - wallStart)
+                .count());
+        uint64_t prev = wallEndNs.load(std::memory_order_relaxed);
+        while (prev < end_ns &&
+               !wallEndNs.compare_exchange_weak(
+                   prev, end_ns, std::memory_order_release,
+                   std::memory_order_relaxed)) {
+        }
+        const std::size_t n = self.finished.size();
+        for (std::size_t i = 0; i < n;) {
+            const unsigned port_no = self.finished[i].resp.port;
+            std::size_t j = i;
+            while (j < n && self.finished[j].resp.port == port_no)
+                ++j;
+            // One run of this port's responses.  Its stats aggregates
+            // have one writer at a time (this thread owns the port, or
+            // holds it checked out), so they update unlocked.
+            PortState &port = *ports[port_no];
+            uint64_t hits = 0;
+            uint64_t errors = 0;
+            for (std::size_t k = i; k < j; ++k) {
+                const Worker::Finished &f = self.finished[k];
+                if (f.resp.op == core::PortOp::Search)
+                    port.stats.bucketsAccessed.add(f.resp.bucketsAccessed);
+                const uint64_t ns = static_cast<uint64_t>(std::max<int64_t>(
+                    0, std::chrono::duration_cast<std::chrono::nanoseconds>(
+                           now - f.enqueued)
+                           .count()));
+                port.stats.latencyUs.add(static_cast<double>(ns) / 1e3);
+                // floor(log2(1 + us)) == bit_width(floor(1 + us)) - 1.
+                port.stats.latencyLog2Us.add(
+                    std::bit_width((ns + 1000) / 1000) - 1);
+                hits += f.resp.hit ? 1 : 0;
+                errors += f.resp.ok ? 0 : 1;
+            }
+            {
+                std::lock_guard<std::mutex> lock(port.resultMutex);
+                if (port.resultHead * 2 >= port.results.size()) {
+                    port.results.erase(
+                        port.results.begin(),
+                        port.results.begin() +
+                            static_cast<std::ptrdiff_t>(port.resultHead));
+                    port.resultHead = 0;
+                }
+                for (std::size_t k = i; k < j; ++k)
+                    port.results.push_back(std::move(self.finished[k].resp));
+            }
+            if (hits > 0)
+                port.stats.hits.fetch_add(hits, std::memory_order_relaxed);
+            if (errors > 0)
+                port.stats.errors.fetch_add(errors,
+                                            std::memory_order_relaxed);
+            port.stats.completed.fetch_add(j - i, std::memory_order_release);
+            i = j;
+        }
+        self.finished.clear();
     }
-
-    // Push the wall-clock end stamp (monotonic max -- completions from
-    // different threads finish out of order) *before* advancing the
-    // completion counters: report() reads `completed` first, so every
-    // completion it counts has already published its end stamp, and a
-    // mid-run wallMsps can understate but never inflate the
-    // throughput.  The old order paired a fresh completed count with a
-    // stale end stamp.
-    const uint64_t end_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(now -
-                                                             wallStart)
-            .count());
-    uint64_t prev = wallEndNs.load(std::memory_order_relaxed);
-    while (prev < end_ns &&
-           !wallEndNs.compare_exchange_weak(prev, end_ns,
-                                            std::memory_order_release,
-                                            std::memory_order_relaxed)) {
+    // Retire the executed requests only now that their responses are
+    // fetchable: drain() returning means every result is in its stream.
+    if (self.executed > 0) {
+        noteCompletion(self.executed);
+        self.executed = 0;
     }
-    if (hit)
-        port.stats.hits.fetch_add(1, std::memory_order_relaxed);
-    if (!ok)
-        port.stats.errors.fetch_add(1, std::memory_order_relaxed);
-    port.stats.completed.fetch_add(1, std::memory_order_release);
 }
 
 bool
@@ -578,7 +638,7 @@ ParallelSearchEngine::executeFanoutSearch(
     resp.data = merged.data;
     resp.key = merged.key;
     resp.bucketsAccessed = merged.bucketsAccessed;
-    finishResponse(std::move(resp), enqueued);
+    finish(self, std::move(resp), enqueued);
 }
 
 bool
@@ -597,8 +657,9 @@ ParallelSearchEngine::probeCache(const core::PortRequest &request,
 }
 
 void
-ParallelSearchEngine::publishCached(
-    const core::PortRequest &request, const core::SearchResult &cached,
+ParallelSearchEngine::finishCached(
+    Worker &self, const core::PortRequest &request,
+    const core::SearchResult &cached,
     std::chrono::steady_clock::time_point enqueued)
 {
     // Zero modeled cycles: the cached reply activates no rows, so the
@@ -615,7 +676,7 @@ ParallelSearchEngine::publishCached(
     resp.data = cached.data;
     resp.key = cached.key;
     resp.bucketsAccessed = cached.bucketsAccessed;
-    finishResponse(std::move(resp), enqueued);
+    finish(self, std::move(resp), enqueued);
 }
 
 void
@@ -686,7 +747,8 @@ ParallelSearchEngine::execute(
                 // search *and* the fan-out machinery.
                 core::SearchResult cached;
                 if (probeCache(request, cached)) {
-                    publishCached(request, cached, enqueued);
+                    finishCached(*workers[worker_index], request, cached,
+                                 enqueued);
                     return;
                 }
                 if (rowFanoutMin_ > 0 &&
@@ -754,7 +816,7 @@ ParallelSearchEngine::execute(
     workers[worker_index]->modeledCycles.fetch_add(
         cycles, std::memory_order_relaxed);
 
-    finishResponse(std::move(resp), enqueued);
+    finish(*workers[worker_index], std::move(resp), enqueued);
 }
 
 void
@@ -781,9 +843,9 @@ ParallelSearchEngine::executeSearchRun(const Job *jobs, std::size_t count,
     // searchBatch walk its many home chains serially inside the chunk
     // (its multi-home fallback), exactly the blow-up the fan-out
     // exists to parallelize.  The segments between them still batch,
-    // and responses are published in submission order under any split
-    // -- the preceding miss segment always flushes before a cached
-    // response goes out, so per-port FIFO (and bit-identity against
+    // and responses are finished in submission order under any split
+    // -- the preceding miss segment always runs before a cached
+    // response is finished, so per-port FIFO (and bit-identity against
     // the serial oracle) is preserved.
     Worker &self = *workers[worker_index];
     std::size_t seg = 0;
@@ -793,7 +855,7 @@ ParallelSearchEngine::executeSearchRun(const Job *jobs, std::size_t count,
             if (k > seg)
                 executeBatchSegment(db, jobs + seg, k - seg,
                                     worker_index);
-            publishCached(jobs[k].request, cached, jobs[k].enqueued);
+            finishCached(self, jobs[k].request, cached, jobs[k].enqueued);
             seg = k + 1;
             continue;
         }
@@ -894,7 +956,7 @@ ParallelSearchEngine::executeBatchSegment(core::Database &db,
         resp.data = r.data;
         resp.key = r.key;
         resp.bucketsAccessed = r.bucketsAccessed;
-        finishResponse(std::move(resp), jobs[i].enqueued);
+        finish(self, std::move(resp), jobs[i].enqueued);
     }
 }
 
@@ -954,14 +1016,14 @@ ParallelSearchEngine::executeInsertRun(const Job *jobs, std::size_t count,
         resp.port = port_no;
         resp.op = core::PortOp::Insert;
         resp.hit = self.outcomes[i].ok;
-        finishResponse(std::move(resp), jobs[i].enqueued);
+        finish(self, std::move(resp), jobs[i].enqueued);
     }
 }
 
 void
-ParallelSearchEngine::noteCompletion()
+ParallelSearchEngine::noteCompletion(uint64_t n)
 {
-    if (inflight.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (inflight.fetch_sub(n, std::memory_order_acq_rel) == n) {
         std::lock_guard<std::mutex> lock(drainMutex);
         drainCv.notify_all();
     }
@@ -1037,10 +1099,12 @@ ParallelSearchEngine::writerMain(unsigned lane)
         PortState &port = *ports[port_no];
         // Execute with this lane's own scratch and counters (its
         // trailing Worker) through the normal run loop -- consecutive
-        // Insert jobs still combine into one bulk ingest.  While the
-        // port is checked out the owner may stage follow-up mutation
-        // runs directly onto it; drain the staging deque until it is
-        // empty at the moment the busy flag drops.  Both sides hold
+        // Insert jobs still combine into one bulk ingest, and the loop
+        // publishes every response before it returns, so nothing of
+        // this port is left buffered here once the flag drops.  While
+        // the port is checked out the owner may stage follow-up
+        // mutation runs directly onto it; drain the staging list until
+        // it is empty at the moment the busy flag drops.  Both sides hold
         // stageMutex -- an owner that saw busy re-checks under the
         // mutex before appending, so no staged run can be stranded
         // behind a cleared flag.
@@ -1057,14 +1121,12 @@ ParallelSearchEngine::writerMain(unsigned lane)
                 // Concatenate every staged run into one batch: the
                 // run loop re-splits it, and adjacent same-port insert
                 // runs combine into a single bulk ingest.
-                while (!port.staged.empty()) {
-                    MutationRun &next = port.staged.front();
+                for (MutationRun &next : port.staged)
                     jobs.insert(
                         jobs.end(),
                         std::make_move_iterator(next.jobs.begin()),
                         std::make_move_iterator(next.jobs.end()));
-                    port.staged.pop_front();
-                }
+                port.staged.clear();
             }
         }
         ring(workerOf(port_no));
@@ -1076,6 +1138,7 @@ ParallelSearchEngine::drainPending(unsigned index)
 {
     if (!cfg.concurrentMutation)
         return false;
+    Worker &self = *workers[index];
     bool progressed = false;
     for (std::size_t p = index; p < ports.size(); p += workerCount) {
         PortState &port = *ports[p];
@@ -1084,11 +1147,11 @@ ParallelSearchEngine::drainPending(unsigned index)
             continue;
         // Re-dispatch through the normal run loop.  If a deferred
         // mutation hands the port off again, the jobs behind it land
-        // back in pending -- the deque was emptied first, so the FIFO
+        // back in pending -- which the swap left empty, so the FIFO
         // order is preserved.
-        std::vector<Job> local(port.pending.begin(), port.pending.end());
-        port.pending.clear();
-        processJobs(local, index);
+        self.redispatch.swap(port.pending);
+        processJobs(self.redispatch, index);
+        self.redispatch.clear();
         progressed = true;
     }
     return progressed;
@@ -1188,6 +1251,11 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                 if (op != core::PortOp::Search) {
                     // Hand the mutation run to the port's writer lane
                     // and move on to the next run instead of stalling.
+                    // Publish first: the lane publishes this port's
+                    // next responses and updates its stats, so none of
+                    // the port's earlier responses may still sit in
+                    // this thread's buffer.
+                    publish(self);
                     MutationRun run;
                     run.jobs.assign(batch.begin() +
                                         static_cast<std::ptrdiff_t>(i),
@@ -1213,59 +1281,26 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                 --self.serialHold;
                 self.adaptiveSerialRuns.fetch_add(
                     1, std::memory_order_relaxed);
-                for (std::size_t k = i; k <= j; ++k) {
+                for (std::size_t k = i; k <= j; ++k)
                     execute(batch[k].request, batch[k].enqueued, index);
-                    noteCompletion();
-                }
             } else if (j > i && op == core::PortOp::Search) {
                 executeSearchRun(batch.data() + i, j - i + 1, index);
-                for (std::size_t k = i; k <= j; ++k)
-                    noteCompletion();
             } else if (j > i) {
                 executeInsertRun(batch.data() + i, j - i + 1, index);
-                for (std::size_t k = i; k <= j; ++k)
-                    noteCompletion();
             } else {
                 execute(batch[i].request, batch[i].enqueued, index);
-                noteCompletion();
             }
+            self.executed += j - i + 1;
             i = j + 1;
         }
     }
+    publish(self);
 }
 
 bool
 ParallelSearchEngine::submitRequest(const core::PortRequest &request)
 {
-    if (request.port >= ports.size())
-        fatal(strprintf("submit to unknown virtual port %u",
-                        request.port));
-    if (stopped)
-        return false;
-    const auto now = std::chrono::steady_clock::now();
-    if (cfg.workers == 0) {
-        // Deterministic fallback: run inline on the calling thread.
-        ++ports[request.port]->stats.submitted;
-        execute(request, now, workerOf(request.port));
-        return true;
-    }
-    // Count the submission *before* publishing the job: once the push
-    // succeeds the owning worker can complete the request at any
-    // moment, and a submitted count that trails the push lets a
-    // concurrent report() observe completed > submitted (and tears a
-    // plain counter under TSan).  A rejected push rolls it back.
-    inflight.fetch_add(1, std::memory_order_acq_rel);
-    PortStats &stats = ports[request.port]->stats;
-    stats.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (!workers[workerOf(request.port)]->queue.push(
-            Job{request, now})) {
-        // Queue closed: roll both counts back.
-        stats.submitted.fetch_sub(1, std::memory_order_relaxed);
-        noteCompletion();
-        return false;
-    }
-    ring(workerOf(request.port));
-    return true;
+    return submitBatch(std::span(&request, 1)) == 1;
 }
 
 bool
@@ -1292,19 +1327,16 @@ ParallelSearchEngine::trySubmit(unsigned port, const Key &key,
     req.op = core::PortOp::Search;
     req.key = key;
     req.tag = tag;
-    const auto now = std::chrono::steady_clock::now();
-    if (cfg.workers == 0) {
-        ++ports[port]->stats.submitted;
-        execute(req, now, workerOf(port));
-        return true;
-    }
-    // Same submitted-before-push protocol as submitRequest().
+    if (cfg.workers == 0)
+        return submitRequest(req);
+    // Same submitted-before-push protocol as submitBatch().
     inflight.fetch_add(1, std::memory_order_acq_rel);
     PortStats &stats = ports[port]->stats;
     stats.submitted.fetch_add(1, std::memory_order_relaxed);
-    if (!workers[workerOf(port)]->queue.tryPush(Job{req, now})) {
+    if (!workers[workerOf(port)]->queue.tryPush(
+            Job{req, std::chrono::steady_clock::now()})) {
         stats.submitted.fetch_sub(1, std::memory_order_relaxed);
-        noteCompletion();
+        noteCompletion(1);
         return false;
     }
     ring(workerOf(port));
@@ -1325,7 +1357,7 @@ ParallelSearchEngine::submitMaintenanceStep(unsigned port)
     inflight.fetch_add(1, std::memory_order_acq_rel);
     if (!workers[workerOf(port)]->queue.tryPush(
             Job{req, std::chrono::steady_clock::now()})) {
-        noteCompletion();
+        noteCompletion(1);
         return false;
     }
     ring(workerOf(port));
@@ -1345,11 +1377,78 @@ std::size_t
 ParallelSearchEngine::submitBatch(
     std::span<const core::PortRequest> requests)
 {
-    std::size_t accepted = 0;
     for (const core::PortRequest &req : requests) {
-        if (!submitRequest(req))
-            break;
-        ++accepted;
+        if (req.port >= ports.size())
+            fatal(strprintf("submit to unknown virtual port %u", req.port));
+    }
+    if (stopped || requests.empty())
+        return 0;
+    if (cfg.workers == 0) {
+        // Deterministic fallback: run inline on the calling thread and
+        // publish at once.
+        for (const core::PortRequest &req : requests) {
+            ports[req.port]->stats.submitted.fetch_add(
+                1, std::memory_order_relaxed);
+            execute(req, std::chrono::steady_clock::now(),
+                    workerOf(req.port));
+            publish(*workers[workerOf(req.port)]);
+        }
+        return requests.size();
+    }
+    const auto now = std::chrono::steady_clock::now();
+    // Requests per port, counted on the submitting thread (any number
+    // of producers may submit at once; each has its own tally).
+    static thread_local std::vector<uint64_t> tally;
+    tally.assign(ports.size(), 0);
+    for (const core::PortRequest &req : requests)
+        ++tally[req.port];
+    // Count the submissions *before* publishing the jobs: once a push
+    // lands, the owning worker can complete a request at any moment,
+    // and a submitted count that trails the push lets a concurrent
+    // report() observe completed > submitted.  What does not land is
+    // rolled back below.
+    inflight.fetch_add(requests.size(), std::memory_order_acq_rel);
+    for (std::size_t p = 0; p < ports.size(); ++p) {
+        if (tally[p] > 0)
+            ports[p]->stats.submitted.fetch_add(tally[p],
+                                                std::memory_order_relaxed);
+    }
+    // One pushBatch per owning worker: its requests, in submission
+    // order, written straight into the queue's ring slots.  The fill
+    // takes each landed request off the tally, so the tally ends up
+    // holding exactly what did not land.
+    std::size_t accepted = 0;
+    for (unsigned w = 0; w < workerCount; ++w) {
+        std::size_t count = 0;
+        for (std::size_t p = w; p < ports.size(); p += workerCount)
+            count += tally[p];
+        if (count == 0)
+            continue;
+        std::size_t next = 0;
+        const std::size_t landed = workers[w]->queue.pushBatch(
+            count,
+            [&](Job &slot) {
+                if (workerCount > 1) {
+                    while (workerOf(requests[next].port) != w)
+                        ++next;
+                }
+                slot.request = requests[next];
+                slot.enqueued = now;
+                --tally[requests[next].port];
+                ++next;
+            },
+            [&] { ring(w); });
+        accepted += landed;
+        if (landed < count)
+            break; // queue closed: stop() raced this batch
+    }
+    if (accepted < requests.size()) {
+        for (std::size_t p = 0; p < ports.size(); ++p) {
+            if (tally[p] > 0)
+                ports[p]->stats.submitted.fetch_sub(
+                    tally[p], std::memory_order_relaxed);
+        }
+        noteCompletion(requests.size() - accepted);
     }
     return accepted;
 }
@@ -1464,11 +1563,9 @@ ParallelSearchEngine::fetchResult(unsigned port)
         fatal(strprintf("no results for unknown virtual port %u", port));
     PortState &state = *ports[port];
     std::lock_guard<std::mutex> lock(state.resultMutex);
-    if (state.results.empty())
+    if (state.resultHead == state.results.size())
         return std::nullopt;
-    core::PortResponse out = std::move(state.results.front());
-    state.results.pop_front();
-    return out;
+    return std::move(state.results[state.resultHead++]);
 }
 
 core::SearchResult
@@ -1537,8 +1634,8 @@ ParallelSearchEngine::report() const
         out.writerSerialRowFetches > out.writerRowFetches
             ? out.writerSerialRowFetches - out.writerRowFetches
             : 0;
-    // `completed` before `wallEndNs`: each completion publishes its end
-    // stamp before incrementing completed (finishResponse), so the
+    // `completed` before `wallEndNs`: each publish pushes its end
+    // stamp before incrementing completed (publish()), so the
     // stamp read below covers every completion counted here and the
     // wall throughput cannot be inflated by a half-published
     // completion.

@@ -49,7 +49,7 @@
  * independent ports' writes proceed in parallel with each other and
  * with every port's searches; EngineConfig::writerCombining lets a
  * lane absorb runs that arrive while their port is already mutating
- * into a per-port staging deque and apply them as wider row-ordered
+ * into a per-port staging list and apply them as wider row-ordered
  * insertBatch calls -- one row fetch + one seqlock writer section per
  * distinct row -- still in exact submission order.
  *
@@ -68,7 +68,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -194,7 +193,7 @@ struct EngineConfig
     /**
      * Writer-lane combining: while a port's mutation run executes on
      * its writer lane, further mutation runs arriving for that port
-     * are appended to a per-port staging deque instead of a new queue
+     * are appended to a per-port staging list instead of a new queue
      * hand-off; the lane drains the staging before releasing the port
      * and concatenates consecutive same-op jobs into wider
      * Database::insertBatch calls, so same-row mutations cost one row
@@ -274,11 +273,15 @@ struct EngineConfig
  * (its owning worker, or the writer lane under
  * EngineConfig::concurrentMutation) and read live by report()/
  * portStats() -- reading them mid-run is race-free and each value is
- * individually consistent.  The latency/AMAL aggregates below the
- * counters are NOT atomic: they have exactly one writer at a time (the
- * owner, or the writer lane while the port is handed off -- the two
- * are serialized by the hand-off itself), and they are only meaningful
- * once the engine is drained.
+ * individually consistent.  Executing threads publish their finished
+ * responses once per popped batch, so `completed` advances by whole
+ * runs of a port's requests, and every response it counts is already
+ * in the port's result stream (fetchResult() returns it).  The
+ * latency/AMAL aggregates below the counters are NOT atomic: they have
+ * exactly one writer at a time (the owner, or the writer lane while
+ * the port is handed off -- the two are serialized by the hand-off
+ * itself, and the owner publishes before it hands off), and they are
+ * only meaningful once the engine is drained.
  */
 struct PortStats
 {
@@ -286,10 +289,13 @@ struct PortStats
     std::atomic<uint64_t> completed{0};
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> errors{0}; ///< responses with ok == false
-    /** Wall-clock enqueue -> result latency, microseconds.  Read only
-     *  after drain(). */
+    /** Wall-clock enqueue -> result latency, microseconds: from the
+     *  submit to the publish that made the response fetchable.  Read
+     *  only after drain(). */
     Summary latencyUs;
-    /** The same latencies, log2-binned (bin = floor(log2(1 + us))). */
+    /** The same latencies, log2-binned (bin = floor(log2(1 + us))).
+     *  Every bin a 64-bit nanosecond latency can reach exists from
+     *  construction, so publishing never grows it. */
     Histogram latencyLog2Us;
     /** Buckets accessed per search (the per-request AMAL sample). */
     Histogram bucketsAccessed;
@@ -334,7 +340,7 @@ struct EngineReport
     core::InsertBatchSummary ingest;
     /** Writer lanes serving mutations (0 = blocking/inline path). */
     unsigned writerLanes = 0;
-    /** Mutation runs appended to a busy port's staging deque instead
+    /** Mutation runs appended to a busy port's staging list instead
      *  of a fresh queue hand-off (writer combining). */
     uint64_t stagedMutationRuns = 0;
     /** Row-op accounting of the writer lanes' insert batches only (a
@@ -438,12 +444,22 @@ class ParallelSearchEngine
      *  engine was stopped. */
     bool submit(unsigned port, const Key &key, uint64_t tag);
 
-    /** Submit a full request (insert/erase travel this way too). */
+    /** Submit a full request (insert/erase travel this way too): a
+     *  batch of one. */
     bool submitRequest(const core::PortRequest &request);
 
     /**
-     * Submit a batch, blocking on backpressure, preserving order.
-     * Returns the number accepted (all of them unless stopped).
+     * Submit a batch, blocking on backpressure, preserving each port's
+     * order.  The batch crosses to the workers once, not once per
+     * request: its requests are grouped by owning worker and each
+     * group lands in that worker's queue under one lock acquisition
+     * with one doorbell ring (more only when the queue fills), and
+     * `inflight` and each port's `submitted` count are raised once per
+     * batch, before the push.  Returns the number accepted -- all of
+     * them unless the engine stops mid-batch, in which case the
+     * requests that did not land are rolled back.  Any number of
+     * threads may submit concurrently; inline engines (workers == 0)
+     * execute and publish each request before the call returns.
      */
     std::size_t submitBatch(std::span<const core::PortRequest> requests);
 
@@ -601,11 +617,11 @@ class ParallelSearchEngine
      *  counts the hit/miss and fills @p out on a hit. */
     bool probeCache(const core::PortRequest &request,
                     core::SearchResult &out);
-    /** Publish a cached search result: bit-identical response fields,
+    /** Finish a cached search result: bit-identical response fields,
      *  zero modeled cycles (the paper's row activations never happen). */
-    void publishCached(const core::PortRequest &request,
-                       const core::SearchResult &cached,
-                       std::chrono::steady_clock::time_point enqueued);
+    void finishCached(Worker &self, const core::PortRequest &request,
+                      const core::SearchResult &cached,
+                      std::chrono::steady_clock::time_point enqueued);
     /** Invalidate @p port's cached entries after a mutation run
      *  executed: region-granular when the mutation's dirty-row mask
      *  allows it, whole-port otherwise (@p wholePort, used by Rebuild
@@ -613,10 +629,22 @@ class ParallelSearchEngine
      *  busy-flag hand-off, so bumping after the mutation is safe: no
      *  probe of this port can run in between. */
     void invalidateCache(unsigned port, bool wholePort);
-    /** Publish one finished response: stats, latency, result stream. */
-    void finishResponse(core::PortResponse resp,
-                        std::chrono::steady_clock::time_point enqueued);
-    void noteCompletion();
+    /** Buffer one finished response on the executing thread until its
+     *  next publish(). */
+    void finish(Worker &self, core::PortResponse resp,
+                std::chrono::steady_clock::time_point enqueued);
+    /**
+     * Publish @p self's buffered responses: per run of one port's
+     * responses, one result-mutex acquisition and one `completed`
+     * release-add; per call, one clock read, one end-stamp update and
+     * one `inflight` subtraction covering every request executed since
+     * the last publish (maintenance steps included).  Called once per
+     * popped batch, before every writer-lane hand-off, and after each
+     * inline request.
+     */
+    void publish(Worker &self);
+    /** Retire @p n in-flight requests (waking drain() at zero). */
+    void noteCompletion(uint64_t n);
     /** Enqueue one internal PortOp::Maintenance request for @p port
      *  (called by the maintenance planner thread; non-blocking --
      *  false when the owner's queue is full or the engine stopped).
@@ -662,7 +690,8 @@ class ParallelSearchEngine
      *  writer lanes like any other mutation. */
     std::unique_ptr<MaintenanceEngine> maintenance_;
     bool running = false;
-    bool stopped = false;
+    /** Atomic: producers on any thread read it while stop() sets it. */
+    std::atomic<bool> stopped{false};
     /** True while drain() waits for inflight == 0: the maintenance
      *  planner pauses so its steps cannot keep inflight nonzero
      *  indefinitely. */

@@ -189,10 +189,12 @@ ResultCache::probe(unsigned port, const Key &key, core::SearchResult &out)
             continue;
 
         // Exact key match: width, port, every value and care word.
+        // Equal widths span equal word counts, and fills store zeros
+        // past the span, so the span's words decide.
         if (words[kSearchMeta] != want_meta)
             continue;
         bool match = true;
-        for (unsigned w = 0; w < Key::kWords; ++w) {
+        for (std::size_t w = 0; w < value.size(); ++w) {
             if (words[kSearchValue0 + w] != value[w] ||
                 words[kSearchCare0 + w] != care[w]) {
                 match = false;
@@ -247,7 +249,7 @@ ResultCache::fill(unsigned port, const Key &key,
         Entry &e = set[way];
         if (loadWord(e.words[kSearchMeta]) == want_meta) {
             bool match = true;
-            for (unsigned w = 0; w < Key::kWords; ++w) {
+            for (std::size_t w = 0; w < value.size(); ++w) {
                 if (loadWord(e.words[kSearchValue0 + w]) != value[w] ||
                     loadWord(e.words[kSearchCare0 + w]) != care[w]) {
                     match = false;
@@ -286,16 +288,20 @@ ResultCache::fill(unsigned port, const Key &key,
         return;
     std::atomic_thread_fence(std::memory_order_release);
 
+    // Each key's words come from its span (wordsFor(width) words);
+    // the slots past it store zeros.
     for (unsigned w = 0; w < Key::kWords; ++w) {
-        storeWord(e.words[kSearchValue0 + w], value[w]);
-        storeWord(e.words[kSearchCare0 + w], care[w]);
+        const bool in = w < value.size();
+        storeWord(e.words[kSearchValue0 + w], in ? value[w] : 0);
+        storeWord(e.words[kSearchCare0 + w], in ? care[w] : 0);
     }
     storeWord(e.words[kSearchMeta], want_meta);
     const std::span<const uint64_t> mvalue = result.key.valueWords();
     const std::span<const uint64_t> mcare = result.key.careWords();
     for (unsigned w = 0; w < Key::kWords; ++w) {
-        storeWord(e.words[kMatchValue0 + w], mvalue[w]);
-        storeWord(e.words[kMatchCare0 + w], mcare[w]);
+        const bool in = w < mvalue.size();
+        storeWord(e.words[kMatchValue0 + w], in ? mvalue[w] : 0);
+        storeWord(e.words[kMatchCare0 + w], in ? mcare[w] : 0);
     }
     storeWord(e.words[kMatchMeta],
               uint64_t{result.key.bits()} |

@@ -8,11 +8,17 @@
  * request queues.  Same bounded-capacity/backpressure semantics and
  * occupancy statistics as BoundedQueue, plus blocking push/pop with a
  * close() protocol so consumers can drain and exit cleanly.
+ *
+ * Storage is a fixed ring of `capacity` slots allocated once at
+ * construction, so steady-state pushes and pops never touch the heap.
+ * pushBatch() lands a whole batch under one lock acquisition, writing
+ * each item straight into its slot.
  */
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
@@ -21,7 +27,8 @@
 
 namespace caram::sim {
 
-/** A mutex/condition-variable bounded FIFO, safe for concurrent use. */
+/** A mutex/condition-variable bounded ring FIFO, safe for concurrent
+ *  use.  T must be default-constructible (the slots are). */
 template <typename T>
 class ConcurrentBoundedQueue
 {
@@ -30,6 +37,7 @@ class ConcurrentBoundedQueue
     {
         if (capacity == 0)
             fatal("queue capacity must be nonzero");
+        slots = std::make_unique<T[]>(capacity);
     }
 
     ConcurrentBoundedQueue(const ConcurrentBoundedQueue &) = delete;
@@ -41,12 +49,15 @@ class ConcurrentBoundedQueue
     bool
     tryPush(T item)
     {
-        std::lock_guard<std::mutex> lock(m);
-        if (isClosed || items.size() >= cap) {
-            ++stalls;
-            return false;
+        {
+            std::lock_guard<std::mutex> lock(m);
+            if (isClosed || count >= cap) {
+                ++stalls;
+                return false;
+            }
+            landLocked() = std::move(item);
+            notePushesLocked(1);
         }
-        pushLocked(std::move(item));
         notEmpty.notify_one();
         return true;
     }
@@ -58,26 +69,65 @@ class ConcurrentBoundedQueue
     bool
     push(T item)
     {
-        std::unique_lock<std::mutex> lock(m);
-        if (items.size() >= cap)
-            ++stalls; // the producer is about to block
-        notFull.wait(lock,
-                     [&] { return isClosed || items.size() < cap; });
-        if (isClosed)
-            return false;
-        pushLocked(std::move(item));
+        {
+            std::unique_lock<std::mutex> lock(m);
+            if (!awaitSpaceLocked(lock))
+                return false;
+            landLocked() = std::move(item);
+            notePushesLocked(1);
+        }
         notEmpty.notify_one();
         return true;
+    }
+
+    /**
+     * Push @p n items in order, blocking while the queue is full.
+     * @p fill(T &slot) writes the next item straight into its ring slot
+     * and is called exactly once per item pushed, under the queue lock.
+     * The items land in segments -- as many as fit -- and @p landed()
+     * runs without the lock after every segment: before the producer
+     * blocks on a full queue, and after the last one.  A consumer that
+     * parks on an external doorbell instead of this queue's own
+     * condition variable (the engine's workers) must be rung there,
+     * or a full queue would deadlock against it.  Returns the number
+     * pushed: @p n, or fewer when the queue is closed mid-batch.
+     */
+    template <typename Fill, typename Landed>
+    std::size_t
+    pushBatch(std::size_t n, Fill &&fill, Landed &&landed)
+    {
+        std::size_t pushed = 0;
+        while (pushed < n) {
+            std::size_t segment = 0;
+            {
+                std::unique_lock<std::mutex> lock(m);
+                if (!awaitSpaceLocked(lock))
+                    break;
+                segment = std::min(n - pushed, cap - count);
+                for (std::size_t k = 0; k < segment; ++k)
+                    fill(landLocked());
+                notePushesLocked(segment);
+            }
+            pushed += segment;
+            notEmpty.notify_all();
+            landed();
+        }
+        return pushed;
     }
 
     /** Pop the head if present; never blocks. */
     std::optional<T>
     tryPop()
     {
-        std::lock_guard<std::mutex> lock(m);
-        if (items.empty())
-            return std::nullopt;
-        return popLocked();
+        std::optional<T> out;
+        {
+            std::lock_guard<std::mutex> lock(m);
+            if (count == 0)
+                return std::nullopt;
+            out.emplace(takeLocked());
+        }
+        notFull.notify_one();
+        return out;
     }
 
     /**
@@ -87,11 +137,16 @@ class ConcurrentBoundedQueue
     std::optional<T>
     pop()
     {
-        std::unique_lock<std::mutex> lock(m);
-        notEmpty.wait(lock, [&] { return isClosed || !items.empty(); });
-        if (items.empty())
-            return std::nullopt;
-        return popLocked();
+        std::optional<T> out;
+        {
+            std::unique_lock<std::mutex> lock(m);
+            notEmpty.wait(lock, [&] { return isClosed || count > 0; });
+            if (count == 0)
+                return std::nullopt;
+            out.emplace(takeLocked());
+        }
+        notFull.notify_one();
+        return out;
     }
 
     /**
@@ -103,10 +158,13 @@ class ConcurrentBoundedQueue
     popBatch(std::vector<T> &out, std::size_t max)
     {
         out.clear();
-        std::unique_lock<std::mutex> lock(m);
-        notEmpty.wait(lock, [&] { return isClosed || !items.empty(); });
-        while (!items.empty() && out.size() < max)
-            out.push_back(popLocked());
+        {
+            std::unique_lock<std::mutex> lock(m);
+            notEmpty.wait(lock, [&] { return isClosed || count > 0; });
+            takeBatchLocked(out, max);
+        }
+        if (!out.empty())
+            notFull.notify_all();
         return out.size();
     }
 
@@ -122,9 +180,12 @@ class ConcurrentBoundedQueue
     tryPopBatch(std::vector<T> &out, std::size_t max)
     {
         out.clear();
-        std::lock_guard<std::mutex> lock(m);
-        while (!items.empty() && out.size() < max)
-            out.push_back(popLocked());
+        {
+            std::lock_guard<std::mutex> lock(m);
+            takeBatchLocked(out, max);
+        }
+        if (!out.empty())
+            notFull.notify_all();
         return out.size();
     }
 
@@ -155,14 +216,14 @@ class ConcurrentBoundedQueue
     empty() const
     {
         std::lock_guard<std::mutex> lock(m);
-        return items.empty();
+        return count == 0;
     }
 
     std::size_t
     size() const
     {
         std::lock_guard<std::mutex> lock(m);
-        return items.size();
+        return count;
     }
 
     std::size_t capacity() const { return cap; }
@@ -189,28 +250,60 @@ class ConcurrentBoundedQueue
     }
 
   private:
-    void
-    pushLocked(T item)
+    /** Wait for a free slot (counting a stall if the producer has to
+     *  block); false when the queue is closed. */
+    bool
+    awaitSpaceLocked(std::unique_lock<std::mutex> &lock)
     {
-        items.push_back(std::move(item));
-        ++pushes;
-        peak = std::max(peak, items.size());
+        if (count >= cap)
+            ++stalls; // the producer is about to block
+        notFull.wait(lock, [&] { return isClosed || count < cap; });
+        return !isClosed;
     }
 
-    T
-    popLocked()
+    /** Claim the tail slot (space must be available). */
+    T &
+    landLocked()
     {
-        T out = std::move(items.front());
-        items.pop_front();
-        notFull.notify_one();
+        std::size_t tail = head + count;
+        if (tail >= cap)
+            tail -= cap;
+        ++count;
+        return slots[tail];
+    }
+
+    void
+    notePushesLocked(std::size_t n)
+    {
+        pushes += n;
+        peak = std::max(peak, count);
+    }
+
+    /** Move the head item out (the queue must be nonempty). */
+    T
+    takeLocked()
+    {
+        T out = std::move(slots[head]);
+        if (++head == cap)
+            head = 0;
+        --count;
         return out;
+    }
+
+    void
+    takeBatchLocked(std::vector<T> &out, std::size_t max)
+    {
+        while (count > 0 && out.size() < max)
+            out.push_back(takeLocked());
     }
 
     mutable std::mutex m;
     std::condition_variable notEmpty;
     std::condition_variable notFull;
-    std::deque<T> items;
+    std::unique_ptr<T[]> slots;
     std::size_t cap;
+    std::size_t head = 0;  ///< slot of the oldest item
+    std::size_t count = 0; ///< items in the ring
     bool isClosed = false;
     uint64_t pushes = 0;
     uint64_t stalls = 0;

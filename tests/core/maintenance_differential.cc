@@ -619,6 +619,9 @@ TEST(MaintenanceOnline, TrimsHollowedReachAfterTailErases)
     EngineConfig cfg;
     cfg.workers = 1;
     cfg.maintenance = true;
+    // The walk counts below are unfiltered: pin the pre-filter off, or
+    // a forced filter (CARAM_PREFILTER=1) skips the empty home row.
+    cfg.prefilter = false;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     ASSERT_TRUE(awaitReport(

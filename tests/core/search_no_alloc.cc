@@ -11,7 +11,9 @@
  * groups keys out of the per-slice BatchScratch), countMatching() and
  * the candidate expansion of ternary keys with don't-care hash bits must
  * all be allocation-free, and so must erase()'s packed equality scan.
- * Counted with a global operator new/delete hook.
+ * So must a warmed-up closed-loop round through a threaded
+ * ParallelSearchEngine, on the client and the worker alike.  Counted
+ * with a global operator new/delete hook, which sees every thread.
  */
 
 #include <array>
@@ -19,13 +21,17 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "core/slice.h"
+#include "core/subsystem.h"
+#include "engine/parallel_search_engine.h"
 #include "engine/result_cache.h"
 #include "hash/bit_select.h"
 
@@ -494,6 +500,64 @@ TEST(SearchNoAlloc, PrefilterMaintainLoop)
             f.slice->search(records[i].key); // all skipped now
     });
     EXPECT_EQ(n, 0u);
+}
+
+TEST(SearchNoAlloc, ThreadedEngineRoundAfterWarmUp)
+{
+    // One closed-loop round through a threaded engine: submitBatch of
+    // 1,024 searches, poll PortStats::completed until the round is
+    // published, then fetchResult every response.  Once a warm-up round
+    // has sized the submitter's tally, the worker's publish buffer and
+    // the port's result stream, neither thread allocates.  (drain() is
+    // not used: its load-stats refresh allocates.)
+    CaRamSubsystem sys(1024, 1024);
+    DatabaseConfig dc;
+    dc.sliceShape.indexBits = 6;
+    dc.sliceShape.logicalKeyBits = 64;
+    dc.sliceShape.slotsPerBucket = 8;
+    dc.sliceShape.dataBits = 16;
+    dc.sliceShape.maxProbeDistance = 8;
+    dc.indexFactory = [](const SliceConfig &eff)
+        -> std::unique_ptr<hash::IndexGenerator> {
+        return std::make_unique<hash::BitSelectIndex>(
+            eff.logicalKeyBits,
+            std::vector<unsigned>{0, 10, 20, 30, 40, 50});
+    };
+    Database &db = sys.addDatabase(dc);
+    Rng rng(1024);
+    std::vector<PortRequest> round(1024);
+    for (std::size_t i = 0; i < round.size(); ++i) {
+        const Key k = Key::fromUint(rng.next64(), 64);
+        if (i % 4 != 0) // three in four keys are stored
+            db.insert(Record{k, i & 0xffff});
+        round[i].port = 0;
+        round[i].op = PortOp::Search;
+        round[i].key = k;
+        round[i].tag = i;
+    }
+
+    engine::EngineConfig cfg;
+    cfg.workers = 1;
+    cfg.maintenance = false; // planner steps are not part of the round
+    engine::ParallelSearchEngine eng(sys, cfg);
+    eng.start();
+    const std::atomic<uint64_t> &completed = eng.portStats(0).completed;
+    uint64_t target = 0;
+    uint64_t mismatches = 0;
+    const uint64_t n = allocationsIn([&] {
+        target += eng.submitBatch(round);
+        while (completed.load(std::memory_order_acquire) < target)
+            std::this_thread::yield();
+        for (const PortRequest &req : round) {
+            const std::optional<PortResponse> r = eng.fetchResult(0);
+            if (!r || r->tag != req.tag)
+                ++mismatches;
+        }
+    });
+    eng.stop();
+    EXPECT_EQ(n, 0u);
+    EXPECT_EQ(target, 2 * round.size());
+    EXPECT_EQ(mismatches, 0u);
 }
 
 // The hook itself must observe ordinary allocation, or every

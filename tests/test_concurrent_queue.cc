@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -133,6 +134,90 @@ TEST(ConcurrentQueue, TryPopBatchDrainsAfterClose)
     std::vector<int> batch;
     EXPECT_EQ(q.tryPopBatch(batch, 8), 2u);
     EXPECT_EQ(batch, (std::vector<int>{7, 8}));
+}
+
+TEST(ConcurrentQueue, PushBatchKeepsOrderAcrossTheRingWrap)
+{
+    // Move the ring's head first, so the batch wraps past the last slot.
+    ConcurrentBoundedQueue<int> q(5);
+    ASSERT_TRUE(q.tryPush(-1));
+    ASSERT_TRUE(q.tryPush(-2));
+    ASSERT_EQ(q.tryPop().value(), -1);
+    ASSERT_EQ(q.tryPop().value(), -2);
+    int next = 0;
+    unsigned rings = 0;
+    EXPECT_EQ(q.pushBatch(
+                  5, [&](int &slot) { slot = next++; }, [&] { ++rings; }),
+              5u);
+    EXPECT_EQ(rings, 1u); // it all fit: one segment, one ring
+    EXPECT_EQ(q.totalPushes(), 7u);
+    EXPECT_EQ(q.peakOccupancy(), 5u);
+    EXPECT_EQ(q.totalStalls(), 0u);
+    std::vector<int> batch;
+    EXPECT_EQ(q.tryPopBatch(batch, 8), 5u);
+    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(ConcurrentQueue, PushBatchBlocksWhenFullAndRingsEachSegment)
+{
+    // 20 items through 4 slots: the first segment fills the queue, the
+    // producer rings and blocks until a consumer makes room, and every
+    // item arrives exactly once, in order.
+    ConcurrentBoundedQueue<int> q(4);
+    std::atomic<unsigned> rings{0};
+    std::thread producer([&] {
+        int next = 0;
+        EXPECT_EQ(q.pushBatch(
+                      20, [&](int &slot) { slot = next++; },
+                      [&] { rings.fetch_add(1); }),
+                  20u);
+    });
+    while (rings.load() == 0)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(q.size(), 4u);
+    EXPECT_EQ(rings.load(), 1u); // blocked: no second segment yet
+    std::vector<int> seen;
+    while (seen.size() < 20)
+        seen.push_back(q.pop().value());
+    producer.join();
+    std::vector<int> want(20);
+    for (int i = 0; i < 20; ++i)
+        want[i] = i;
+    EXPECT_EQ(seen, want);
+    EXPECT_GE(rings.load(), 2u);
+    EXPECT_GE(q.totalStalls(), 1u);
+    EXPECT_EQ(q.totalPushes(), 20u);
+}
+
+TEST(ConcurrentQueue, PushBatchReturnsCountPushedWhenClosedMidBatch)
+{
+    ConcurrentBoundedQueue<int> q(4);
+    std::atomic<unsigned> rings{0};
+    std::size_t pushed = 0;
+    std::thread producer([&] {
+        int next = 0;
+        pushed = q.pushBatch(
+            10, [&](int &slot) { slot = next++; },
+            [&] { rings.fetch_add(1); });
+    });
+    // Close once the first segment landed: the producer is blocked on
+    // the full queue (or about to be) and must give up there.
+    while (rings.load() == 0)
+        std::this_thread::yield();
+    q.close();
+    producer.join();
+    EXPECT_EQ(pushed, 4u);
+    EXPECT_EQ(rings.load(), 1u);
+    // What landed still drains; a closed queue takes no new batch.
+    std::vector<int> batch;
+    EXPECT_EQ(q.tryPopBatch(batch, 8), 4u);
+    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(q.pushBatch(
+                  3, [](int &slot) { slot = 9; },
+                  [&] { rings.fetch_add(1); }),
+              0u);
+    EXPECT_EQ(rings.load(), 1u);
 }
 
 TEST(CompletionLatch, WaitReturnsAfterAllArrivals)

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -1598,6 +1601,236 @@ TEST(Engine, PeekStableKeysWhileMutationStreamRuns)
         completed += eng.portStats(p).completed.load();
     EXPECT_EQ(completed, stream.size());
     eng.stop();
+}
+
+/** A mixed Search/Insert/Erase stream over @p nports ports drawing keys
+ *  from a small pool, so searches hit inserted keys and erases remove
+ *  them; ports interleave at random. */
+std::vector<PortRequest>
+mixedPortStream(unsigned nports, std::size_t count, uint64_t seed,
+                uint64_t first_tag = 0)
+{
+    Rng rng(seed);
+    std::vector<PortRequest> stream;
+    uint64_t tag = first_tag;
+    for (std::size_t i = 0; i < count; ++i) {
+        PortRequest req;
+        req.port = static_cast<unsigned>(rng.below(nports));
+        const uint64_t pick = rng.below(20);
+        req.op = pick < 12 ? PortOp::Search
+                 : pick < 17 ? PortOp::Insert
+                             : PortOp::Erase;
+        req.key = Key::fromUint(rng.below(96) * 7 + req.port, 32);
+        req.data = i & 0xffff;
+        req.tag = ++tag;
+        stream.push_back(req);
+    }
+    return stream;
+}
+
+/** The oracle: core::executePortRequest applied to each request in
+ *  submission order, collected per port.  Mirrors CARAM_PREFILTER onto
+ *  the oracle's databases like serialReference(). */
+std::vector<std::vector<PortResponse>>
+executeSerially(CaRamSubsystem &sys, const std::vector<PortRequest> &stream)
+{
+    if (const char *env = std::getenv("CARAM_PREFILTER");
+        env && std::string_view(env) == "1") {
+        for (std::size_t p = 0; p < sys.databaseCount(); ++p)
+            sys.database(static_cast<unsigned>(p))
+                .setPrefilterEnabled(true);
+    }
+    std::vector<std::vector<PortResponse>> per_port(sys.databaseCount());
+    for (const PortRequest &req : stream)
+        per_port[req.port].push_back(
+            core::executePortRequest(sys.database(req.port), req));
+    return per_port;
+}
+
+/** 3 workers over 6 ports with 4-deep queues: every submitBatch below is
+ *  far larger than a queue, so each lands in segments against
+ *  backpressure.  Maintenance is pinned off (it moves records, which
+ *  changes bucketsAccessed). */
+EngineConfig
+smallQueueConfig()
+{
+    EngineConfig cfg;
+    cfg.workers = 3;
+    cfg.queueCapacity = 4;
+    cfg.maintenance = false;
+    return cfg;
+}
+
+TEST(Engine, BulkSubmitLargerThanQueueMatchesSerialOracle)
+{
+    // One submitBatch of 1,500 mixed requests, grouped by owning worker
+    // and pushed in queue-sized segments: every port's response stream
+    // must equal the serial oracle's, in FIFO order, and the per-port
+    // counters must be exact.
+    constexpr unsigned kPorts = 6;
+    const auto stream = mixedPortStream(kPorts, 1500, 0xb01c);
+    auto serial_sys = buildLoaded(kPorts, 40);
+    const auto reference = executeSerially(*serial_sys, stream);
+
+    auto sys = buildLoaded(kPorts, 40);
+    ParallelSearchEngine eng(*sys, smallQueueConfig());
+    eng.start();
+    EXPECT_EQ(eng.submitBatch(stream), stream.size());
+    eng.drain();
+    expectMatchesReference(eng, reference);
+    for (unsigned p = 0; p < kPorts; ++p) {
+        EXPECT_EQ(eng.portStats(p).submitted.load(), reference[p].size());
+        EXPECT_EQ(eng.portStats(p).completed.load(), reference[p].size());
+        EXPECT_EQ(sys->database(p).size(), serial_sys->database(p).size());
+    }
+    eng.stop();
+}
+
+TEST(Engine, BulkSubmitBatchesOfEverySizeMatchSerialOracle)
+{
+    // The same kind of stream cut into batches of 1..37 requests,
+    // including batches that touch only some workers: the grouping
+    // must never reorder a port's requests across batch boundaries.
+    constexpr unsigned kPorts = 6;
+    const auto stream = mixedPortStream(kPorts, 1200, 0x5e9);
+    auto serial_sys = buildLoaded(kPorts, 40);
+    const auto reference = executeSerially(*serial_sys, stream);
+
+    auto sys = buildLoaded(kPorts, 40);
+    ParallelSearchEngine eng(*sys, smallQueueConfig());
+    eng.start();
+    std::size_t next = 0;
+    for (std::size_t len = 1; next < stream.size(); len = len % 37 + 1) {
+        const std::size_t n = std::min(len, stream.size() - next);
+        ASSERT_EQ(eng.submitBatch(std::span<const PortRequest>(
+                      stream.data() + next, n)),
+                  n);
+        next += n;
+    }
+    eng.drain();
+    expectMatchesReference(eng, reference);
+    eng.stop();
+}
+
+TEST(Engine, BulkSubmitConcurrentProducersMatchSerialOracle)
+{
+    // Three producers, each owning two ports on different workers,
+    // submit their streams in batches concurrently -- so every worker's
+    // queue takes interleaved segments from two producers.  Each port's
+    // stream still comes from one producer in order, so it must match
+    // the oracle exactly.
+    constexpr unsigned kPorts = 6;
+    constexpr unsigned kProducers = 3;
+    std::vector<std::vector<PortRequest>> streams;
+    std::vector<PortRequest> combined;
+    for (unsigned t = 0; t < kProducers; ++t) {
+        // Producer t owns ports 2t and 2t + 1 (workers 2t % 3 and
+        // (2t + 1) % 3).
+        auto s = mixedPortStream(2, 900, 0x9a0 + t, t * 10000);
+        for (PortRequest &req : s)
+            req.port += 2 * t;
+        combined.insert(combined.end(), s.begin(), s.end());
+        streams.push_back(std::move(s));
+    }
+    auto serial_sys = buildLoaded(kPorts, 40);
+    const auto reference = executeSerially(*serial_sys, combined);
+
+    auto sys = buildLoaded(kPorts, 40);
+    ParallelSearchEngine eng(*sys, smallQueueConfig());
+    eng.start();
+    std::vector<std::thread> producers;
+    for (unsigned t = 0; t < kProducers; ++t) {
+        producers.emplace_back([&, t] {
+            const std::vector<PortRequest> &s = streams[t];
+            for (std::size_t next = 0; next < s.size(); next += 50) {
+                const std::size_t n =
+                    std::min<std::size_t>(50, s.size() - next);
+                EXPECT_EQ(eng.submitBatch(std::span<const PortRequest>(
+                              s.data() + next, n)),
+                          n);
+            }
+        });
+    }
+    for (auto &t : producers)
+        t.join();
+    eng.drain();
+    expectMatchesReference(eng, reference);
+    eng.stop();
+}
+
+TEST(Engine, BulkSubmitRollsBackWhatAStopLeftUnqueued)
+{
+    // Never started, so nothing drains the 4-deep queues: the producer
+    // lands worker 0's first segment and blocks.  stop() closes the
+    // queues under it; the batch returns what landed, and `submitted`
+    // is rolled back to exactly that -- including port 1, whose worker
+    // the batch never reached.
+    auto sys = buildLoaded(2, 10);
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.queueCapacity = 4;
+    cfg.maintenance = false;
+    ParallelSearchEngine eng(*sys, cfg);
+    const auto stream = searchStream(2, 10);
+    std::size_t accepted = 0;
+    std::thread producer([&] { accepted = eng.submitBatch(stream); });
+    while (eng.portStats(0).submitted.load() == 0)
+        std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    eng.stop();
+    producer.join();
+    EXPECT_EQ(accepted, 4u);
+    EXPECT_EQ(eng.portStats(0).submitted.load(), 4u);
+    EXPECT_EQ(eng.portStats(1).submitted.load(), 0u);
+    EXPECT_EQ(eng.submitBatch(stream), 0u); // stopped: nothing lands
+    EXPECT_EQ(eng.portStats(0).submitted.load(), 4u);
+}
+
+TEST(Engine, CompletedNeverRunsAheadOfFetchableResults)
+{
+    // Per-run publish: a port's `completed` count is raised only after
+    // the run's responses are in its result stream, so a client that
+    // watches the count (instead of calling drain()) can always fetch
+    // as many responses as it has seen completions -- in order.
+    constexpr unsigned kPorts = 6;
+    const auto stream = mixedPortStream(kPorts, 1500, 0xfe7c);
+    auto serial_sys = buildLoaded(kPorts, 40);
+    const auto reference = executeSerially(*serial_sys, stream);
+
+    auto sys = buildLoaded(kPorts, 40);
+    ParallelSearchEngine eng(*sys, smallQueueConfig());
+    eng.start();
+    std::thread producer(
+        [&] { EXPECT_EQ(eng.submitBatch(stream), stream.size()); });
+    std::vector<std::size_t> fetched(kPorts, 0);
+    std::size_t total = 0;
+    bool in_step = true; // stop polling at the first miss, then join
+    while (in_step && total < stream.size()) {
+        for (unsigned p = 0; in_step && p < kPorts; ++p) {
+            const uint64_t ready =
+                eng.portStats(p).completed.load(std::memory_order_acquire);
+            while (fetched[p] < ready) {
+                const auto r = eng.fetchResult(p);
+                if (!r || fetched[p] >= reference[p].size()) {
+                    ADD_FAILURE() << "port " << p << ": completion "
+                                  << fetched[p] + 1 << " not fetchable";
+                    in_step = false;
+                    break;
+                }
+                expectSameResponse(*r, reference[p][fetched[p]]);
+                ++fetched[p];
+                ++total;
+            }
+        }
+    }
+    producer.join();
+    eng.stop();
+    if (!in_step)
+        return;
+    for (unsigned p = 0; p < kPorts; ++p) {
+        EXPECT_EQ(fetched[p], reference[p].size());
+        EXPECT_FALSE(eng.fetchResult(p).has_value());
+    }
 }
 
 } // namespace
