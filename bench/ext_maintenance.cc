@@ -4,8 +4,8 @@
  * (EngineConfig::maintenance / engine/maintenance_engine.h), which
  * migrates spilled records toward their home buckets, trims hollowed
  * probe reach and adopts overflow-slice records back into the main
- * table -- incrementally, on the writer lanes, with no drain and no
- * whole-table rebuild.
+ * table -- incrementally, on each port's owning worker, with no drain
+ * and no whole-table rebuild.
  *
  * Section 1 measures the foreground cost: the same saturated mixed
  * churn stream (search-heavy with fresh inserts and erases across 4
@@ -188,9 +188,6 @@ runChurn(const std::vector<PortRequest> &stream,
     cfg.queueCapacity = 8192;
     cfg.timing = timing;
     cfg.batchSize = 8;
-    cfg.concurrentMutation = true;
-    cfg.writerLanes = 2;
-    cfg.writerCombining = true;
     cfg.resultCacheEntries = 0;
     cfg.maintenance = maintenance;
     engine::ParallelSearchEngine eng(*sys, cfg);
@@ -312,7 +309,7 @@ main(int argc, char **argv)
 
     // --- section 1: foreground cost under saturated mixed churn ---
     std::cout << "--- foreground cost (saturated mixed churn, "
-                 "4 workers, 2 lanes, batch 8) ---\n\n";
+                 "4 workers, batch 8) ---\n\n";
     std::cout << kPorts << " databases, " << withCommas(kRecordsPerDb)
               << " records each, " << withCommas(per_port)
               << " mixed ops per port (60% search / 20% insert / "
@@ -353,7 +350,7 @@ main(int argc, char **argv)
         "\nsaturated submission keeps inflight above the planner's "
         "backoff threshold, so\nmaintenance steps are suppressed until "
         "the stream tails off; modeled throughput\ncharges any step "
-        "that does run to its writer lane.\n";
+        "that does run to the port's owning worker.\n";
 
     // --- section 2: AMAL recovery on an idle engine, no drain ---
     std::cout << "\n--- AMAL recovery (skewed churn, idle engine, "
@@ -377,7 +374,6 @@ main(int argc, char **argv)
     mcfg.workers = 2;
     mcfg.queueCapacity = 1024;
     mcfg.timing = timing;
-    mcfg.concurrentMutation = true;
     mcfg.maintenance = true;
     engine::ParallelSearchEngine meng(*amal_sys, mcfg);
     meng.start();

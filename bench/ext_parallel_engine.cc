@@ -22,6 +22,11 @@
  * lookups share row fetches and the modeled cycle count (and thus
  * Msps) improves accordingly.
  *
+ * A third section runs 90/10 read/write traffic, with each port's
+ * owning worker executing its mutations in place, next to the
+ * read-only stream (informational: the search share of the mixed
+ * makespan against read-only).
+ *
  * A fourth section sweeps Zipf-skewed hot-key traffic (s in {0, 0.8,
  * 0.99, 1.2}) through the lock-free result cache
  * (EngineConfig::resultCacheEntries): hit rate, modeled Msps uplift
@@ -444,7 +449,7 @@ main(int argc, char **argv)
         cfg.queueCapacity = 4096;
         cfg.timing = timing;
         // Pin the result cache off in every non-cache section: these
-        // sweeps measure worker scaling / row-fetch sharing / writer-lane
+        // sweeps measure worker scaling / row-fetch sharing / mutation
         // interference, and CARAM_RESULT_CACHE_ENTRIES in the environment
         // would short-circuit exactly the lookups they account.
         cfg.resultCacheEntries = 0;
@@ -554,8 +559,8 @@ main(int argc, char **argv)
         "multi-key lookup;\ngrouped keys sharing a home row share its "
         "fetches, shrinking modeled cycles.\n";
 
-    // --- concurrent-mutation mode: mixed 90/10 read/write traffic ---
-    std::cout << "\n--- concurrent-mutation mode (90/10 read/write, "
+    // --- mutations in place: mixed 90/10 read/write traffic ---
+    std::cout << "\n--- mutations in place (90/10 read/write, "
                  "4 workers) ---\n\n";
     double ro_msps = 0.0;
     double mixed_search_msps = 0.0;
@@ -565,16 +570,15 @@ main(int argc, char **argv)
         for (const PortRequest &r : mixed)
             n_searches += r.op == PortOp::Search;
 
-        TextTable mt({"stream", "mutation mode", "modeled Msps",
-                      "search-only Msps", "wall Msps"});
-        auto run = [&](const std::vector<PortRequest> &s, bool cm,
+        TextTable mt({"stream", "modeled Msps", "search-only Msps",
+                      "wall Msps"});
+        auto run = [&](const std::vector<PortRequest> &s,
                        std::size_t searches) {
             auto sys = buildSubsystem(/*split=*/true, 4096);
             engine::EngineConfig cfg;
             cfg.workers = 4;
             cfg.queueCapacity = 4096;
             cfg.timing = timing;
-            cfg.concurrentMutation = cm;
             cfg.resultCacheEntries = 0;
             engine::ParallelSearchEngine eng(*sys, cfg);
             eng.start();
@@ -589,27 +593,20 @@ main(int argc, char **argv)
             return std::pair<engine::EngineReport, double>(rep,
                                                            search_msps);
         };
-        const auto ro = run(stream, true, stream.size());
+        const auto ro = run(stream, stream.size());
         ro_msps = ro.first.modeledMsps;
-        mt.addRow({"read-only", "writer lane", fixed(ro_msps, 2),
-                   fixed(ro.second, 2), fixed(ro.first.wallMsps, 2)});
-        const auto blocking = run(mixed, false, n_searches);
-        mt.addRow({"90/10 mixed", "in-run (blocking)",
-                   fixed(blocking.first.modeledMsps, 2),
-                   fixed(blocking.second, 2),
-                   fixed(blocking.first.wallMsps, 2)});
-        const auto lane = run(mixed, true, n_searches);
-        mixed_search_msps = lane.second;
-        mt.addRow({"90/10 mixed", "writer lane",
-                   fixed(lane.first.modeledMsps, 2),
+        mt.addRow({"read-only", fixed(ro_msps, 2), fixed(ro.second, 2),
+                   fixed(ro.first.wallMsps, 2)});
+        const auto in_place = run(mixed, n_searches);
+        mixed_search_msps = in_place.second;
+        mt.addRow({"90/10 mixed", fixed(in_place.first.modeledMsps, 2),
                    fixed(mixed_search_msps, 2),
-                   fixed(lane.first.wallMsps, 2)});
+                   fixed(in_place.first.wallMsps, 2)});
         mt.print(std::cout);
         std::cout <<
             "\nsearch-only Msps: the searches' share of the modeled "
-            "makespan; the writer lane\nkeeps the workers' search "
-            "pipelines running while same-port mutations execute\n"
-            "off to the side.\n";
+            "makespan; each mutation\noccupies its port's worker, so "
+            "it delays that worker's searches.\n";
     }
 
     // --- the hot-key result cache: Zipf skew sweep ---
@@ -714,8 +711,8 @@ main(int argc, char **argv)
         // Invalidation cost: the same cache under 90/10 churn.  A
         // write bumps only the region generations its rows dirtied, so
         // searches whose candidate rows sit elsewhere keep hitting --
-        // the gate is that the cache never drags mixed search
-        // throughput below PR 6's writer-lane target.
+        // the gate is that the cache keeps the mixed search share
+        // within 10% of read-only.
         const std::vector<PortRequest> mixed = buildMixedStream(per_port);
         std::size_t n_searches = 0;
         for (const PortRequest &r : mixed)
@@ -810,11 +807,12 @@ main(int argc, char **argv)
          fixed(batch_gain, 2) +
              "x modeled throughput from batch=32 on bursty traffic "
              "(>= 1.5x target)");
-    gate(ro_msps > 0.0 && mixed_search_msps >= 0.9 * ro_msps,
-         "mixed 90/10 search throughput " +
-             fixed(mixed_search_msps, 2) + " Msps within 10% of "
-             "read-only " +
-             fixed(ro_msps, 2) + " Msps under the writer lane");
+    gates.info("mixed 90/10 search share " +
+               fixed(mixed_search_msps, 2) + " Msps with mutations in "
+               "place, " +
+               percent(ro_msps > 0.0 ? mixed_search_msps / ro_msps
+                                     : 0.0) +
+               " of read-only " + fixed(ro_msps, 2) + " Msps");
     gate(hit_rate_099 >= 0.60,
          percent(hit_rate_099) +
              " cache hit rate at Zipf s=0.99 (>= 60% target)");

@@ -24,21 +24,14 @@
 # against the checked-in baseline.
 #
 # The result-cache section runs ext_parallel_engine, which self-gates
-# on the engine speedup/batching/writer-lane targets and on the hot-key
-# result cache: >= 60% hit rate and >= 1.5x modeled uplift at Zipf
-# s=0.99, bit-identical cached result streams, mixed 90/10 churn with
-# the cache on staying within 10% of the read-only writer-lane
-# throughput, and >= 50% hit rate at Zipf s=0.99 under 90/10 cold-row
-# churn (row-granular invalidation; whole-port generations scored ~0%).
-# Its s=0.99 hit rate, uplift and churn hit rate are also compared
-# against the checked-in baseline (within 10%).
-#
-# The writer-lanes section runs ext_writer_lanes, which self-gates on
-# >= 2x modeled mutation throughput at 4 port-sharded writer lanes vs
-# 1, >= 3x writer row-op reduction from mutation combining on same-row
-# insert bursts, and bit-identity of every result stream against the
-# serial oracle; its 4-lane speedup is also compared against the
-# checked-in baseline.
+# on the engine speedup/batching targets and on the hot-key result
+# cache: >= 60% hit rate and >= 1.5x modeled uplift at Zipf s=0.99,
+# bit-identical cached result streams, mixed 90/10 churn with the cache
+# on keeping its search share within 10% of the read-only throughput,
+# and >= 50% hit rate at Zipf s=0.99 under 90/10 cold-row churn
+# (row-granular invalidation; whole-port generations scored ~0%).  Its
+# s=0.99 hit rate, uplift and churn hit rate are also compared against
+# the checked-in baseline (within 10%).
 #
 # The maintenance section runs ext_maintenance, which self-gates on
 # the self-managing online maintenance engine: modeled foreground
@@ -74,8 +67,6 @@
 #       --json bench/baselines/BENCH_row_fanout.baseline.json
 #   build/bench/ext_parallel_engine 10000 \
 #       --json bench/baselines/BENCH_result_cache.baseline.json
-#   build/bench/ext_writer_lanes 20000 \
-#       --json bench/baselines/BENCH_writer_lanes.baseline.json
 #   build/bench/ext_prefilter \
 #       --json bench/baselines/BENCH_prefilter.baseline.json
 #   build/bench/ext_maintenance \
@@ -91,7 +82,6 @@ SIMD_BASELINE="bench/baselines/BENCH_simd_batch.baseline.json"
 INGEST_BASELINE="bench/baselines/BENCH_bulk_ingest.baseline.json"
 FANOUT_BASELINE="bench/baselines/BENCH_row_fanout.baseline.json"
 CACHE_BASELINE="bench/baselines/BENCH_result_cache.baseline.json"
-LANES_BASELINE="bench/baselines/BENCH_writer_lanes.baseline.json"
 PREFILTER_BASELINE="bench/baselines/BENCH_prefilter.baseline.json"
 MAINTENANCE_BASELINE="bench/baselines/BENCH_maintenance.baseline.json"
 MAX_REGRESSION="${MAX_REGRESSION:-2.0}"
@@ -100,7 +90,7 @@ LOOKUPS="${LOOKUPS:-100000}"
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target micro_match_path \
     ext_bulk_ingest ext_row_fanout ext_parallel_engine \
-    ext_writer_lanes ext_prefilter ext_maintenance
+    ext_prefilter ext_maintenance
 
 LOG_DIR="$BUILD_DIR/bench-logs"
 mkdir -p "$LOG_DIR"
@@ -143,11 +133,6 @@ run_bench result_cache \
     "$BUILD_DIR"/bench/ext_parallel_engine 10000 \
     --json "$BUILD_DIR"/BENCH_result_cache.json \
     --baseline "$CACHE_BASELINE"
-
-run_bench writer_lanes \
-    "$BUILD_DIR"/bench/ext_writer_lanes 20000 \
-    --json "$BUILD_DIR"/BENCH_writer_lanes.json \
-    --baseline "$LANES_BASELINE"
 
 run_bench prefilter \
     "$BUILD_DIR"/bench/ext_prefilter \

@@ -21,14 +21,7 @@
 #      a serial baseline pin an explicit unreachable threshold, which
 #      always wins over the environment floor.
 #
-#   4. The SIMD build rerun with CARAM_SEQLOCK_TEAR=2: every slice
-#      constructed with the torn-read injection hook armed, so each
-#      concurrent row snapshot anywhere in the suite survives at least
-#      one forced retry of the seqlock validation loop.  The serial
-#      search path never snapshots, so single-threaded tests are
-#      unaffected.
-#
-#   5. The SIMD build rerun with CARAM_RESULT_CACHE_ENTRIES=4096: every
+#   4. The SIMD build rerun with CARAM_RESULT_CACHE_ENTRIES=4096: every
 #      engine whose config leaves resultCacheEntries unset now fronts
 #      search dispatch with the hot-key result cache, so the whole
 #      suite doubles as a cache-coherence equivalence sweep (every
@@ -37,7 +30,7 @@
 #      measure per-lookup slice work pin an explicit 0, which always
 #      wins over the environment knob.
 #
-#   6. The SIMD build rerun with CARAM_PREFILTER=1: every engine whose
+#   5. The SIMD build rerun with CARAM_PREFILTER=1: every engine whose
 #      config leaves EngineConfig::prefilter unset now consults the
 #      per-row counting pre-filter on every search path, and the
 #      engine-vs-serial differentials mirror the knob onto their
@@ -47,30 +40,19 @@
 #      counts pin an explicit false, which always wins over the
 #      environment knob.
 #
-#   7. The SIMD build rerun with CARAM_WRITER_LANES=4 and
-#      CARAM_RESULT_CACHE_ENTRIES=4096: every concurrent-mutation
-#      engine whose config leaves writerLanes unset now shards its
-#      ports across four writer lanes (with writer combining on by
-#      default), and the forced result cache rides along so
-#      row-granular invalidation is exercised against lane-executed
-#      mutations -- the whole suite doubles as a multi-lane
-#      coherence-and-FIFO equivalence sweep.  Tests that need the
-#      single PR 6 lane pin writerLanes = 1 explicitly, which always
-#      wins over the environment knob.
-#
-#   8. The SIMD build rerun with CARAM_MAINTENANCE=1: every
-#      concurrent-mutation engine whose config leaves
-#      EngineConfig::maintenance unset now runs the background
-#      maintenance planner, so spill migration, reach trimming and
-#      overflow adoption race the whole suite's mutation and search
-#      traffic -- every differential and invariance expectation must
-#      hold while records move between rows underneath the readers.
+#   6. The SIMD build rerun with CARAM_MAINTENANCE=1: every threaded
+#      engine whose config leaves EngineConfig::maintenance unset now
+#      runs the background maintenance planner, so spill migration,
+#      reach trimming and overflow adoption interleave with the whole
+#      suite's mutation and search traffic -- every differential and
+#      invariance expectation must hold while records move between
+#      rows between requests.
 #      Tests that assert exact placement, bucketsAccessed or modeled
 #      row-op counts pin maintenance = false explicitly, which always
 #      wins over the environment knob (and inline engines ignore the
 #      knob entirely).
 #
-#   9. An ASan+UBSan build in its own directory (-fsanitize=address,
+#   7. An ASan+UBSan build in its own directory (-fsanitize=address,
 #      undefined with -fno-sanitize-recover=undefined, plus
 #      -D_GLIBCXX_ASSERTIONS for libstdc++'s bounds checks, e.g. span
 #      and vector indexing): the full suite must run with no sanitizer
@@ -101,27 +83,19 @@ echo "=== leg 3: SIMD build, row fan-out forced on ==="
 CARAM_ROW_FANOUT_MIN=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 4: SIMD build, torn-read injection forced on ==="
-CARAM_SEQLOCK_TEAR=2 ctest --test-dir "$SIMD_DIR" \
-    --output-on-failure
-
-echo "=== leg 5: SIMD build, result cache forced on ==="
+echo "=== leg 4: SIMD build, result cache forced on ==="
 CARAM_RESULT_CACHE_ENTRIES=4096 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 6: SIMD build, pre-filter forced on ==="
+echo "=== leg 5: SIMD build, pre-filter forced on ==="
 CARAM_PREFILTER=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 7: SIMD build, 4 writer lanes + result cache forced ==="
-CARAM_WRITER_LANES=4 CARAM_RESULT_CACHE_ENTRIES=4096 \
-    ctest --test-dir "$SIMD_DIR" --output-on-failure
-
-echo "=== leg 8: SIMD build, background maintenance forced on ==="
+echo "=== leg 6: SIMD build, background maintenance forced on ==="
 CARAM_MAINTENANCE=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 9: ASan+UBSan build + full ctest ==="
+echo "=== leg 7: ASan+UBSan build + full ctest ==="
 cmake -B "$ASAN_DIR" -S . -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined \
 -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 cmake --build "$ASAN_DIR" -j"$(nproc)"

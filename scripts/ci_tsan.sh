@@ -1,44 +1,24 @@
 #!/usr/bin/env bash
 # ThreadSanitizer gate for the concurrency layer: builds with
-# -DCARAM_TSAN=ON and runs the concurrent-queue, completion-latch and
-# parallel-engine tests under TSan.  The Engine suite includes the
-# batched multi-key pipeline tests (Engine.Batched*), so worker-side
-# group execution and flush-around-mutation paths are raced too, the
-# bulk-ingest tests (Engine.BatchedIngestMatchesSerial,
-# Engine.BulkLoadMatchesSerial*, Engine.Rebuild*, Engine.AdaptiveBatch*)
-# race worker-side insertBatch runs, port-driven rebuilds, and the
-# adaptive batch controller, and the intra-lookup fan-out tests
-# (Engine.Fanout*) race shard stealing off the shared sub-task queue,
-# worker doorbells, and the help-first CompletionLatch join.  The
-# concurrent-mutation layer rides along: the per-row seqlock
-# differentials (SeqlockConcurrent.*), the epoch-based reclamation
-# domain (Epoch.*), the writer-lane engine differentials
-# (ConcurrentMutationDifferential.*, including the *Lanes* legs that
-# shard ports across multiple writer threads and race owner-side
-# staging of combined mutation runs against the lanes' drain loops),
-# and the live-polling stats / peek regressions
-# (Engine.ReportAndStats*, Engine.PeekStableKeys*)
-# all race readers against in-place mutation and slice swaps.  The
-# hot-key result cache is covered twice: the engine-level cache
-# differentials (ResultCacheDifferential.*, ResultCacheGeneration.*)
-# race cached search dispatch against writer-lane mutations, and the
-# ResultCacheHammer drives raw probe/fill/invalidate from concurrent
-# threads straight into the per-entry seqlocks.  The per-row counting
-# pre-filter is raced by the filtered differentials
-# (PrefilterDifferential.*, whose *CombinedWriterSections legs race
-# filter maintenance inside combined bulk-ingest writer sections,
-# PrefilterUnit.*) and by
-# PrefilterConcurrent.StableKeysAlwaysHitUnderChurn, where reader
-# threads run the validated concurrent filter consult against
-# insert/erase/rebuildSwap churn on the same rows.  The online
-# maintenance engine is raced by the maintenance differentials
-# (MaintenanceDifferential.*, whose legs run the background planner's
-# epoch-quiesced two-phase migrations, reach trims and overflow
-# adoption against randomized insert/erase/rebuild/search streams over
-# writer lanes, combining and the result cache) and by the online
-# suite (MaintenanceOnline.*, including the torn-migration legs that
-# race reader threads against injected mid-migration tears).  Any data
-# race fails the script.
+# -DCARAM_TSAN=ON and runs the tests that put two threads near the same
+# data under TSan.  One worker owns each table, so what is left to race
+# is the hand-off around the tables, not the tables themselves:
+#
+#  - bulk submit: producers pushing batches into the workers' ring
+#    queues, doorbells, per-batch publish and drain()
+#    (ConcurrentQueue.*, Engine.*);
+#  - row fan-out: shards stolen off the shared sub-task queue and the
+#    help-first CompletionLatch join (CompletionLatch.*, Engine.Fanout*,
+#    the fan-out legs of the differentials);
+#  - the result cache hammer: concurrent fill/probe/invalidate on the
+#    per-entry seqlocks (ResultCacheHammer.*, ResultCache*);
+#  - the maintenance planner: its thread pacing steps into the owners'
+#    queues while foreground traffic runs (Maintenance*).
+#
+# The engine-vs-serial differentials (ConcurrentMutationDifferential.*,
+# PrefilterDifferential.*) and the brute-force reference differential
+# (ReferenceDifferential.*) ride along.  Any data race fails the
+# script.
 #
 # Usage: scripts/ci_tsan.sh [build-dir]   (default build-tsan)
 set -euo pipefail
@@ -48,10 +28,10 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "$BUILD_DIR" -S . -DCARAM_TSAN=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
-    --target test_concurrent_queue test_engine test_epoch \
-    seqlock_concurrent concurrent_mutation_differential \
-    result_cache_differential prefilter_differential \
-    maintenance_differential
+    --target test_concurrent_queue test_engine \
+    concurrent_mutation_differential result_cache_differential \
+    prefilter_differential maintenance_differential \
+    reference_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|CompletionLatch|Engine|Epoch|SeqlockConcurrent|ConcurrentMutation|ResultCache|Prefilter|Maintenance' \
+    -R 'ConcurrentQueue|CompletionLatch|Engine|ConcurrentMutation|ResultCache|Prefilter|Maintenance|ReferenceDifferential' \
     --output-on-failure

@@ -5,7 +5,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "sim/epoch.h"
 #include "tech/area_model.h"
 #include "tech/power_model.h"
 
@@ -32,7 +31,6 @@ Database::Database(DatabaseConfig config) : cfg(std::move(config))
     const SliceConfig eff = cfg.effectiveConfig();
     eff.validate();
     slice_ = std::make_unique<CaRamSlice>(eff, cfg.indexFactory(eff));
-    liveSlice_.store(slice_.get(), std::memory_order_seq_cst);
     if (cfg.overflow == OverflowPolicy::ParallelTcam) {
         if (cfg.overflowCapacity == 0)
             fatal("parallel overflow TCAM needs a capacity");
@@ -276,89 +274,6 @@ Database::rebuild()
     out.failedRecords = out.ingest.failed;
     out.ok = out.ingest.failed == 0;
     return out;
-}
-
-Database::RebuildSummary
-Database::rebuildSwap(sim::EpochDomain &domain)
-{
-    checkAccessible();
-    RebuildSummary out;
-    // Probing-only: the overflow areas have no concurrent read path, so
-    // a swap could not keep their lookups safe.
-    if (cfg.overflow != OverflowPolicy::Probing || !canRebuild())
-        return out;
-
-    // Collect and reduce exactly as rebuild() does (same code path
-    // produces the same `todo` stream, so the repacked table is
-    // bit-identical: both start from a zeroed array and bulk-ingest the
-    // identical record sequence).
-    std::vector<Record> copies;
-    for (uint64_t row = 0; row < slice_->config().rows(); ++row) {
-        BucketView b = slice_->bucket(row);
-        for (unsigned i = 0; i < b.slots(); ++i) {
-            if (b.slotValid(i))
-                copies.push_back(Record{b.slotKey(i), b.slotData(i)});
-        }
-    }
-    std::sort(copies.begin(), copies.end(), recordBefore);
-    std::vector<Record> todo;
-    todo.reserve(copies.size());
-    for (std::size_t i = 0; i < copies.size();) {
-        std::size_t j = i + 1;
-        while (j < copies.size() && !recordBefore(copies[i], copies[j]))
-            ++j;
-        const auto m = static_cast<uint64_t>(j - i);
-        const auto per = static_cast<uint64_t>(
-            slice_->homeRows(copies[i].key).size());
-        if (m % per != 0) {
-            warn(strprintf("rebuild of '%s': record multiplicity %llu "
-                           "is not a multiple of its %llu candidate "
-                           "homes",
-                           cfg.name.c_str(), (unsigned long long)m,
-                           (unsigned long long)per));
-        }
-        const uint64_t k = (m + per - 1) / per;
-        for (uint64_t t = 0; t < k; ++t)
-            todo.push_back(copies[i]);
-        i = j;
-    }
-
-    // Ingest into a fresh slice while readers keep searching the old
-    // one, publish, then retire the old slice into the epoch domain.
-    const SliceConfig eff = cfg.effectiveConfig();
-    auto fresh = std::make_unique<CaRamSlice>(eff, cfg.indexFactory(eff));
-    // The torn-read injection knob is a database-level debug setting:
-    // it must survive the swap or an injection test loses its fault
-    // stream at the first rebuild.
-    fresh->setTornReadInjection(slice_->tornReadInjection());
-    // The pre-filter flag likewise: the fresh slice's filter is built
-    // by the ingest below and published together with the slice under
-    // the epoch domain, so readers switch slice and filter atomically.
-    fresh->setPrefilterEnabled(slice_->prefilterEnabled());
-    out.records = todo.size();
-    out.ingest = fresh->insertBatch(todo);
-    out.failedRecords = out.ingest.failed;
-    out.ok = out.ingest.failed == 0;
-
-    CaRamSlice *old = slice_.release();
-    slice_ = std::move(fresh);
-    liveSlice_.store(slice_.get(), std::memory_order_seq_cst);
-    domain.retire([old] { delete old; });
-    domain.reclaim();
-    return out;
-}
-
-SearchResult
-Database::searchConcurrent(
-    const Key &search_key,
-    CaRamSlice::ConcurrentSearchScratch &scratch) const
-{
-    if (cfg.overflow != OverflowPolicy::Probing)
-        fatal("searchConcurrent requires the Probing overflow policy");
-    if (powerState() != PowerState::Active)
-        return SearchResult{}; // retained: report a miss, touch nothing
-    const CaRamSlice *live = liveSlice_.load(std::memory_order_seq_cst);
-    return live->searchConcurrent(search_key, scratch);
 }
 
 void

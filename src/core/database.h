@@ -27,10 +27,6 @@
 #include "core/slice.h"
 #include "mem/timing.h"
 
-namespace caram::sim {
-class EpochDomain;
-}
-
 namespace caram::core {
 
 /** Overflow handling of a database. */
@@ -175,33 +171,6 @@ class Database
      */
     RebuildSummary rebuild();
 
-    /**
-     * rebuild() variant that never blocks concurrent readers: collects
-     * the records, bulk-ingests them into a *fresh* slice, atomically
-     * publishes the new slice, and retires the old one into @p domain
-     * (it is deleted once every epoch-guarded reader that could still
-     * hold it has exited).  The resulting table is bit-identical to
-     * rebuild()'s.  Probing-only (the overflow areas have no concurrent
-     * read path); returns ok == false without touching the contents
-     * otherwise.  Single-writer: the caller must serialize this against
-     * every other mutation on the database, exactly as for rebuild().
-     */
-    RebuildSummary rebuildSwap(sim::EpochDomain &domain);
-
-    /**
-     * Wait-free lookup against the live slice, safe under a concurrent
-     * rebuildSwap()/insert/erase by the (single) writer thread.  The
-     * caller MUST hold a sim::EpochDomain::Guard on the domain passed
-     * to rebuildSwap() for the whole call, or the slice could be
-     * reclaimed mid-read.  Probing-only (fatal otherwise).  Returns a
-     * miss without touching the array when the database is in
-     * retention.  No search counters are advanced (see
-     * CaRamSlice::searchConcurrent).
-     */
-    SearchResult searchConcurrent(
-        const Key &search_key,
-        CaRamSlice::ConcurrentSearchScratch &scratch) const;
-
     /** Search the CA-RAM (and the overflow TCAM, in parallel). */
     SearchResult search(const Key &search_key);
 
@@ -241,9 +210,8 @@ class Database
 
     /**
      * Enable or disable pre-filter consultation on the main slice and
-     * (when present) the overflow slice.  rebuildSwap() carries the
-     * flag onto the replacement slice, so the setting is durable across
-     * online rebuilds.
+     * (when present) the overflow slice.  rebuild() repacks in place,
+     * so the setting survives it.
      */
     void
     setPrefilterEnabled(bool on)
@@ -296,8 +264,8 @@ class Database
         return slice_->searchRegionMask(key, scratch);
     }
 
-    /** Drain the dirty-region accumulators: the main slice's seqlock
-     *  writer sections plus every overflow-area write recorded through
+    /** Drain the dirty-region accumulators: the main slice's row
+     *  writes plus every overflow-area write recorded through
      *  noteOverflowMutation(). */
     uint64_t
     takeDirtyRegionMask()
@@ -379,12 +347,7 @@ class Database
     std::unique_ptr<CaRamSlice> slice_;
     std::unique_ptr<cam::Tcam> overflow_;
     std::unique_ptr<CaRamSlice> overflowSlice_;
-    /** The slice searchConcurrent() readers see.  Equal to slice_.get()
-     *  except transiently inside rebuildSwap(), which publishes the
-     *  fresh slice here before retiring the old one.  seq_cst with the
-     *  epoch slots so publish/pin interleavings totally order. */
-    std::atomic<const CaRamSlice *> liveSlice_{nullptr};
-    /** Atomic: read by concurrent-search readers while the owner flips
+    /** Atomic: an engine's worker reads it while the application flips
      *  retention (powerState()/checkAccessible() vs setPowerState()). */
     std::atomic<PowerState> powerState_{PowerState::Active};
     /** Main-slice region bits dirtied by overflow-area writes since the

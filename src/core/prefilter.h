@@ -40,18 +40,15 @@
  *   search key fully specified AND wildcard == 0
  *     AND either of the key's two counters == 0     -- signature miss.
  *
- * Concurrency contract: one mutating thread per slice (the rule the
- * slice's scratch guard already enforces) performs all writes, each
- * inside the owning row's seqlock writer section; every word is a
- * single std::atomic<uint64_t>, so readers can never observe a torn
- * word.  Serial readers (the slice-owning thread) consult the words
- * directly; concurrent readers (CaRamSlice::searchConcurrent)
- * additionally validate the consult against the row's sequence, and
- * decline to prune when a writer was mid-row.  Either way the error is
- * one-sided: a stale word maps to a valid earlier filter state, whose
- * pruning verdict can at worst demand an extra fetch of a
- * non-matching row -- never skip a row holding a visible match (the
- * full argument is in DESIGN.md section 4e).
+ * Concurrency contract: the slice's owning thread performs every write
+ * and every serial consult.  The only other readers are row fan-out
+ * shards (CaRamSlice::searchRows), which walk chains on stealing
+ * workers while the owner waits for them, so no write can overlap
+ * them; the words stay std::atomic<uint64_t> because those shards
+ * still read them from other threads.  The error is one-sided: a
+ * consult can at worst demand an extra fetch of a non-matching row,
+ * never skip a row holding a match (the full argument is in DESIGN.md
+ * section 4e).
  *
  * suspend() covers RAM-mode stores, which rewrite raw bits behind the
  * filter's back: a suspended filter answers mayMatch() == true for
@@ -90,16 +87,14 @@ class RowPrefilter
      */
     static uint64_t signatureOf(const Key &key);
 
-    /** Record a stored copy of @p key in @p row.  Call from inside the
-     *  row's seqlock writer section. */
+    /** Record a stored copy of @p key in @p row. */
     void add(uint64_t row, const Key &key);
 
     /** Remove a stored copy of @p key from @p row (counting
-     *  semantics).  Call from inside the row's writer section. */
+     *  semantics). */
     void remove(uint64_t row, const Key &key);
 
-    /** Mirror the home bucket's overflow reach.  Call from inside the
-     *  row's writer section. */
+    /** Mirror the home bucket's overflow reach. */
     void setReach(uint64_t row, unsigned reach);
 
     /** The mirrored overflow reach of @p row's bucket. */

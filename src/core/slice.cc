@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 
 #include "common/bitops.h"
 #include "common/logging.h"
@@ -24,69 +23,7 @@ mixRow(uint64_t x)
     return x ^ (x >> 31);
 }
 
-/** Seqlock stripe count for @p rows: next power of two, capped. */
-uint64_t
-seqStripes(uint64_t rows)
-{
-    constexpr uint64_t kMaxStripes = uint64_t{1} << 16;
-    return std::min(std::bit_ceil(rows), kMaxStripes);
-}
-
-/** CARAM_SEQLOCK_TEAR: inject a snapshot retry every Nth row copy. */
-unsigned
-envTornReadEvery()
-{
-    const char *env = std::getenv("CARAM_SEQLOCK_TEAR");
-    if (!env || !*env)
-        return 0;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (!end || *end != '\0' || v > ~0u) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("ignoring invalid CARAM_SEQLOCK_TEAR=%s", env));
-        return 0;
-    }
-    return static_cast<unsigned>(v);
-}
-
 } // namespace
-
-CaRamSlice::RowWriteGuard::RowWriteGuard(CaRamSlice &s, uint64_t row)
-    : seq_(s.rowSeqs_[row & s.seqMask_].v)
-{
-    // Every store that can change a lookup's outcome runs inside a row
-    // writer section, so the guard is also the single collection point
-    // for the result cache's dirty-region accounting.
-    s.noteRowDirty(row);
-    // Relaxed increment then release fence: the fence keeps the data
-    // stores below the odd sequence value, so a reader that starts its
-    // snapshot after loading an even sequence and still observes a new
-    // data word is guaranteed to see the odd (or advanced) sequence on
-    // its validation re-read.
-    seq_.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-}
-
-CaRamSlice::RowWriteGuard::~RowWriteGuard()
-{
-    seq_.fetch_add(1, std::memory_order_release);
-}
-
-CaRamSlice::AllRowsWriteGuard::AllRowsWriteGuard(CaRamSlice &s) : slice_(s)
-{
-    // Whole-array rewrite: every cache region is dirty.
-    slice_.dirtyRegions_.store(~uint64_t{0}, std::memory_order_relaxed);
-    for (RowSeq &rs : slice_.rowSeqs_)
-        rs.v.fetch_add(1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-}
-
-CaRamSlice::AllRowsWriteGuard::~AllRowsWriteGuard()
-{
-    for (RowSeq &rs : slice_.rowSeqs_)
-        rs.v.fetch_add(1, std::memory_order_release);
-}
 
 CaRamSlice::ScratchUse::ScratchUse(const CaRamSlice &s) : slice_(s)
 {
@@ -106,10 +43,7 @@ CaRamSlice::CaRamSlice(const SliceConfig &config,
     : cfg(config),
       idxGen(std::move(index_gen)),
       array_(config.rows(), config.storageRowBits()),
-      matcher(cfg),
-      rowSeqs_(seqStripes(config.rows())),
-      seqMask_(seqStripes(config.rows()) - 1),
-      tearEvery_(envTornReadEvery())
+      matcher(cfg)
 {
     cfg.validate();
     if (!idxGen)
@@ -253,22 +187,15 @@ CaRamSlice::insertAt(uint64_t home_row, const Record &record)
             slot = b.firstFreeSlot();
         if (slot < 0)
             continue;
-        {
-            const RowWriteGuard wg(*this, row);
-            b.writeSlot(static_cast<unsigned>(slot), record.key,
-                        record.data);
-            b.setUsedCount(b.usedCount() + 1);
-            filter_.add(row, record.key);
-        }
-        // Separate guard scope: home_row may share the placed row's
-        // seqlock stripe, and guards must not nest (see RowWriteGuard).
-        {
-            BucketView home = bucket(home_row);
-            const RowWriteGuard wg(*this, home_row);
-            const unsigned reach = std::max(home.reach(), d);
-            home.setReach(reach);
-            filter_.setReach(home_row, reach);
-        }
+        noteRowDirty(row);
+        b.writeSlot(static_cast<unsigned>(slot), record.key, record.data);
+        b.setUsedCount(b.usedCount() + 1);
+        filter_.add(row, record.key);
+        BucketView home = bucket(home_row);
+        noteRowDirty(home_row);
+        const unsigned reach = std::max(home.reach(), d);
+        home.setReach(reach);
+        filter_.setReach(home_row, reach);
         ++homeDemandPerBucket[home_row];
         distanceHist.add(d);
         ++recordCount;
@@ -291,14 +218,12 @@ CaRamSlice::removePlacement(const InsertResult &placement)
     BucketView b = bucket(placement.placedRow);
     if (!b.slotValid(placement.slot))
         panic("placement slot is no longer valid");
-    {
-        const RowWriteGuard wg(*this, placement.placedRow);
-        // The placement carries no key: read it back before the clear
-        // so the filter's counters can be lowered for the right key.
-        filter_.remove(placement.placedRow, b.slotKey(placement.slot));
-        b.clearSlot(placement.slot);
-        b.setUsedCount(b.usedCount() - 1);
-    }
+    noteRowDirty(placement.placedRow);
+    // The placement carries no key: read it back before the clear so
+    // the filter's counters can be lowered for the right key.
+    filter_.remove(placement.placedRow, b.slotKey(placement.slot));
+    b.clearSlot(placement.slot);
+    b.setUsedCount(b.usedCount() - 1);
     --homeDemandPerBucket[placement.homeRow];
     distanceHist.remove(placement.distance);
     --recordCount;
@@ -544,18 +469,16 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
         const auto &pl = ig.placements[pidx];
         const Record &rec = records[pl.rec];
         BucketView b = bucket(row);
-        {
-            const RowWriteGuard wg(*this, row);
-            b.writeSlot(pl.slot, rec.key, rec.data);
-            // The filter replays the serial order: insert() added the
-            // copy, and -- for dead placements -- removePlacement()
-            // took it back out (sticky counter saturation makes the
-            // add/remove pair idempotent-at-worst, never unsound).
-            filter_.add(row, rec.key);
-            if (pl.dead) {
-                b.clearSlot(pl.slot);
-                filter_.remove(row, rec.key);
-            }
+        noteRowDirty(row);
+        b.writeSlot(pl.slot, rec.key, rec.data);
+        // The filter replays the serial order: insert() added the copy,
+        // and -- for dead placements -- removePlacement() took it back
+        // out (sticky counter saturation makes the add/remove pair
+        // idempotent-at-worst, never unsound).
+        filter_.add(row, rec.key);
+        if (pl.dead) {
+            b.clearSlot(pl.slot);
+            filter_.remove(row, rec.key);
         }
         if (pl.dead) {
             // Serial rollback adds the distance sample and then removes
@@ -579,7 +502,7 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
                                  ig.reach[e] != ig.reachAtFetch[e];
         if (aux_changed) {
             BucketView b = bucket(ig.row[e]);
-            const RowWriteGuard wg(*this, ig.row[e]);
+            noteRowDirty(ig.row[e]);
             b.setUsedCount(ig.used[e]);
             b.setReach(ig.reach[e]);
             filter_.setReach(ig.row[e], ig.reach[e]);
@@ -812,201 +735,6 @@ CaRamSlice::noteFanoutSearch(unsigned buckets_accessed)
 {
     ++searchCount;
     accessCount += buckets_accessed;
-}
-
-bool
-CaRamSlice::tearPending() const
-{
-    const unsigned every = tearEvery_.load(std::memory_order_relaxed);
-    if (every == 0)
-        return false;
-    return snapshotTick_.fetch_add(1, std::memory_order_relaxed) % every ==
-           every - 1;
-}
-
-void
-CaRamSlice::setTornReadInjection(unsigned every)
-{
-    tearEvery_.store(every, std::memory_order_relaxed);
-}
-
-uint64_t
-CaRamSlice::tornReadRetries() const
-{
-    return tornRetries_.load(std::memory_order_relaxed);
-}
-
-void
-CaRamSlice::snapshotRowConcurrent(uint64_t row, uint64_t *dst) const
-{
-    const std::atomic<uint64_t> &seq = rowSeqs_[row & seqMask_].v;
-    // Injection fires at most once per snapshot, or every==1 would
-    // retry forever.
-    bool inject = tearPending();
-    for (;;) {
-        const uint64_t s1 = seq.load(std::memory_order_acquire);
-        if (s1 & 1)
-            continue; // writer mid-row: wait for the even value
-        array_.snapshotRowInto(row, dst);
-        // Acquire fence before the validation re-read: if any copied
-        // word came from inside or after a write section, the re-read
-        // is guaranteed to observe that writer's odd/advanced sequence.
-        std::atomic_thread_fence(std::memory_order_acquire);
-        const uint64_t s2 = seq.load(std::memory_order_relaxed);
-        if (s1 == s2) {
-            if (!inject)
-                return;
-            inject = false;
-        }
-        tornRetries_.fetch_add(1, std::memory_order_relaxed);
-    }
-}
-
-bool
-CaRamSlice::prefilterMayMatchConcurrent(uint64_t row, uint64_t sig,
-                                        bool sig_usable) const
-{
-    // Same validation shape as snapshotRowConcurrent(), but a failed
-    // validation declines to prune instead of retrying: every filter
-    // write happens inside the row's writer section, so a quiescent
-    // stripe across the read means the words form a published filter
-    // state, whose verdict is sound (one-sided error, DESIGN.md 4e).
-    const std::atomic<uint64_t> &seq = rowSeqs_[row & seqMask_].v;
-    const uint64_t s1 = seq.load(std::memory_order_acquire);
-    if (s1 & 1)
-        return true; // writer mid-row
-    const bool may = filter_.mayMatch(row, sig, sig_usable);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = seq.load(std::memory_order_relaxed);
-    return s1 != s2 || may;
-}
-
-bool
-CaRamSlice::prefilterConsultHomeConcurrent(uint64_t home, uint64_t sig,
-                                           bool sig_usable,
-                                           unsigned &reach_out,
-                                           bool &valid) const
-{
-    const std::atomic<uint64_t> &seq = rowSeqs_[home & seqMask_].v;
-    const uint64_t s1 = seq.load(std::memory_order_acquire);
-    valid = false;
-    if (s1 & 1)
-        return true;
-    const bool may =
-        filter_.consultHome(home, sig, sig_usable, reach_out);
-    std::atomic_thread_fence(std::memory_order_acquire);
-    const uint64_t s2 = seq.load(std::memory_order_relaxed);
-    if (s1 != s2)
-        return true;
-    valid = true;
-    return may;
-}
-
-SearchResult
-CaRamSlice::searchConcurrent(const Key &search_key,
-                             ConcurrentSearchScratch &scratch) const
-{
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
-    if (!scratch.row || scratch.rowBits != cfg.storageRowBits()) {
-        scratch.row =
-            std::make_unique<mem::MemoryArray>(1, cfg.storageRowBits());
-        scratch.rowBits = cfg.storageRowBits();
-    }
-    matcher.pack(search_key, scratch.packed);
-    candidateHomes(search_key, scratch.homes);
-
-    // Every row the chain touches is matched against the validated
-    // snapshot in scratch.row, so the existing matcher and aux-decode
-    // paths run unchanged over row 0 of the private one-row array.
-    uint64_t *dst = scratch.row->rowData(0);
-    BucketView sb(*scratch.row, cfg, 0);
-    const bool pf = prefilterActive();
-    uint64_t sig = 0;
-    bool sig_usable = false;
-    if (pf) {
-        sig = RowPrefilter::signatureOf(search_key);
-        sig_usable = search_key.fullySpecified();
-    }
-    SearchResult best;
-    for (uint64_t home : scratch.homes) {
-        // A validated home consult that fails skips the home row's
-        // snapshot and walks the rest of the chain with the mirrored
-        // reach (which only ever grows outside whole-array rewrites,
-        // and those hold every stripe odd -- the consult declines).
-        // Any failed validation falls back to the snapshot path.
-        unsigned reach;
-        bool home_skipped = false;
-        bool consulted = false;
-        if (pf) {
-            bool valid = false;
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            const bool may = prefilterConsultHomeConcurrent(
-                home, sig, sig_usable, reach, valid);
-            if (valid && !may) {
-                prefilterSkips_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                home_skipped = true;
-                consulted = true;
-            }
-        }
-        if (!consulted) {
-            // One snapshot serves both the reach read and the d == 0
-            // match, so the home row's observation is internally
-            // consistent (the serial path reads the row twice;
-            // between-mutation states are indistinguishable
-            // row-locally).
-            snapshotRowConcurrent(home, dst);
-            reach = sb.reach();
-        }
-        bool early_exit = false;
-        for (unsigned d = 0; d <= reach; ++d) {
-            if (d == 0 && home_skipped)
-                continue;
-            if (d > 0) {
-                const uint64_t row = probeRow(home, d, search_key);
-                if (pf) {
-                    prefilterProbes_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (!prefilterMayMatchConcurrent(row, sig,
-                                                     sig_usable)) {
-                        prefilterSkips_.fetch_add(
-                            1, std::memory_order_relaxed);
-                        continue;
-                    }
-                }
-                snapshotRowConcurrent(row, dst);
-            }
-            ++best.bucketsAccessed;
-            const BucketMatch m = cfg.lpm
-                ? matcher.searchBucketBestPacked(sb, scratch.packed)
-                : matcher.searchBucketPacked(sb, scratch.packed);
-            if (!m.hit)
-                continue;
-            if (!cfg.lpm) {
-                best.hit = true;
-                best.multipleMatch = m.multipleMatch;
-                best.row = probeRow(home, d, search_key);
-                best.slot = m.slot;
-                best.data = m.data;
-                best.key = m.key;
-                early_exit = true;
-                break;
-            }
-            const unsigned pop = m.key.carePopcount();
-            if (!best.hit || pop > best.key.carePopcount()) {
-                best.hit = true;
-                best.multipleMatch = m.multipleMatch;
-                best.row = probeRow(home, d, search_key);
-                best.slot = m.slot;
-                best.data = m.data;
-                best.key = m.key;
-            }
-        }
-        if (early_exit)
-            break;
-    }
-    return best;
 }
 
 uint64_t
@@ -1255,12 +983,10 @@ CaRamSlice::eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed)
         const int slot = matcher.findEqualPacked(b, packed);
         if (slot < 0)
             continue;
-        {
-            const RowWriteGuard wg(*this, row);
-            filter_.remove(row, key);
-            b.clearSlot(static_cast<unsigned>(slot));
-            b.setUsedCount(b.usedCount() - 1);
-        }
+        noteRowDirty(row);
+        filter_.remove(row, key);
+        b.clearSlot(static_cast<unsigned>(slot));
+        b.setUsedCount(b.usedCount() - 1);
         // The home bucket's reach is left unchanged (a conservative
         // over-approximation); adoptRamContents() tightens it.
         --homeDemandPerBucket[home];
@@ -1316,10 +1042,8 @@ CaRamSlice::updateMatching(const Key &pattern, uint64_t new_data)
         for (unsigned i = 0; i < b.slots(); ++i) {
             if (!matcher.slotMatchesPacked(b, i, packedKey_))
                 continue;
-            {
-                const RowWriteGuard wg(*this, row);
-                b.writeSlot(i, b.slotKey(i), new_data);
-            }
+            noteRowDirty(row);
+            b.writeSlot(i, b.slotKey(i), new_data);
             ++updated;
         }
     }
@@ -1338,14 +1062,14 @@ CaRamSlice::ramStore(uint64_t word_addr, uint64_t value)
     // Raw stores rewrite row bits behind the filter's back: declare it
     // stale until adoptRamContents()/clear() rebuild it wholesale.
     filter_.suspend();
-    const RowWriteGuard wg(*this, word_addr / array_.wordsPerRow());
+    noteRowDirty(word_addr / array_.wordsPerRow());
     array_.storeWord(word_addr, value);
 }
 
 void
 CaRamSlice::adoptRamContents()
 {
-    const AllRowsWriteGuard wg(*this);
+    noteAllRowsDirty();
     homeDemandPerBucket.assign(cfg.rows(), 0);
     distanceHist = Histogram();
     recordCount = 0;
@@ -1496,11 +1220,9 @@ CaRamSlice::maintenanceTrimReach(uint64_t home)
     }
     if (new_reach >= cur)
         return 0;
-    {
-        const RowWriteGuard wg(*this, home);
-        home_bucket.setReach(new_reach);
-        filter_.setReach(home, new_reach);
-    }
+    noteRowDirty(home);
+    home_bucket.setReach(new_reach);
+    filter_.setReach(home, new_reach);
     return cur - new_reach;
 }
 
@@ -1537,7 +1259,7 @@ CaRamSlice::occupancyHistogram() const
 void
 CaRamSlice::clear()
 {
-    const AllRowsWriteGuard wg(*this);
+    noteAllRowsDirty();
     array_.clearAll();
     filter_.clearAll();
     homeDemandPerBucket.assign(cfg.rows(), 0);

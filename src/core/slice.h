@@ -225,65 +225,6 @@ class CaRamSlice
     void noteFanoutSearch(unsigned buckets_accessed);
     /// @}
 
-    /// @name Concurrent search (wait-free readers under mutation)
-    /// @{
-    /**
-     * Caller-owned scratch for searchConcurrent(): the packed search
-     * template, the candidate-home list, and a one-row memory array
-     * receiving seqlock-validated row snapshots.  The row buffer is
-     * (re)sized lazily to the slice's row shape, so one scratch (e.g. a
-     * thread_local) serves slices of different configurations.  All
-     * members retain capacity, so steady-state concurrent lookups
-     * allocate nothing.
-     */
-    struct ConcurrentSearchScratch
-    {
-        MatchProcessor::PackedKey packed;
-        std::vector<uint64_t> homes;
-        std::unique_ptr<mem::MemoryArray> row;
-        uint64_t rowBits = 0; ///< shape the row buffer was sized for
-    };
-
-    /**
-     * Lookup that is safe against concurrent mutations on *other*
-     * threads: every row is copied through a per-row sequence-lock
-     * validated snapshot (writers bump the row's sequence odd/even
-     * around their stores; a reader that observes an odd or changed
-     * sequence retries the row), and the match processors then run over
-     * the private snapshot.  Wait-free for readers in practice: a retry
-     * only happens while a writer is mid-row.
-     *
-     * Semantics match search() exactly for any interleaving in which
-     * each observed row is in a before-or-after-mutation state: a probe
-     * chain reads the home row once (reach and slots from the same
-     * snapshot), so every row-level observation is consistent.  Unlike
-     * search(), this path touches *no* per-slice scratch and *no*
-     * search counters (it is const) -- accounting belongs to the
-     * caller, as with searchRows().
-     */
-    SearchResult searchConcurrent(const Key &search_key,
-                                  ConcurrentSearchScratch &scratch) const;
-
-    /**
-     * Torn-read fault injection: force every @p every-th row snapshot
-     * to retry once as if the sequence check had failed (0 disables).
-     * Also settable at construction via the CARAM_SEQLOCK_TEAR
-     * environment variable; the CI build matrix uses it to prove the
-     * retry path preserves results, not just the happy path.
-     */
-    void setTornReadInjection(unsigned every);
-
-    /** The active injection period (0 = disabled).  Database's
-     *  rebuildSwap() copies it onto the replacement slice. */
-    unsigned tornReadInjection() const
-    {
-        return tearEvery_.load(std::memory_order_relaxed);
-    }
-
-    /** Row snapshot retries taken (sequence mismatch or injection). */
-    uint64_t tornReadRetries() const;
-    /// @}
-
     /// @name Per-row counting pre-filter (guaranteed-miss short-circuit)
     /// @{
     /**
@@ -297,8 +238,7 @@ class CaRamSlice
      * filter proves empty of any possible match are skipped before the
      * fetch and before the bucketsAccessed charge; result payloads
      * (hit/data/key, LPM winner) are unchanged.  Engine-owned slices
-     * get this set from EngineConfig::prefilter / CARAM_PREFILTER;
-     * Database::rebuildSwap() copies it onto the replacement slice.
+     * get this set from EngineConfig::prefilter / CARAM_PREFILTER.
      */
     void
     setPrefilterEnabled(bool on)
@@ -494,18 +434,18 @@ class CaRamSlice
      * slot write dirties the chain row itself, and a reach extension
      * beyond the current chain writes the home row's aux word, whose
      * region is always covered.  Uses the same single-owner discipline
-     * as search() (reads bucket aux words unvalidated); @p scratch is
-     * caller-owned home scratch, cleared and refilled.
+     * as search(); @p scratch is caller-owned home scratch, cleared and
+     * refilled.
      */
     uint64_t searchRegionMask(const Key &search_key,
                               std::vector<uint64_t> &scratch);
 
     /**
-     * Drain the accumulated dirty-region mask: every row seqlock
-     * writer section since the previous call OR-ed its row's region
-     * bit in (whole-array guards set all bits).  The engine's writer
-     * lane calls this after applying a mutation batch and bumps
-     * exactly those regions in the result cache.
+     * Drain the accumulated dirty-region mask: every row store that
+     * can change a lookup's outcome since the previous call OR-ed its
+     * row's region bit in (whole-array rewrites set all bits).  The
+     * engine calls this after executing a mutation and bumps exactly
+     * those regions in the result cache.
      */
     uint64_t
     takeDirtyRegionMask()
@@ -516,14 +456,10 @@ class CaRamSlice
 
     /// @name Online maintenance primitives (engine::MaintenanceEngine)
     ///
-    /// All of these follow the same single-mutation-authority rule as
+    /// All of these follow the same single-owner rule as
     /// insert()/erase(): the caller must be the thread that owns this
-    /// slice's mutations (the engine runs them on the port's writer
-    /// lane).  Concurrent searchConcurrent() readers are safe
-    /// throughout -- every store happens inside a row seqlock writer
-    /// section, and the two-phase migration protocol (publish the new
-    /// copy, epoch-quiesce, then remove the old one) guarantees a
-    /// reader observes at least one complete copy at every instant.
+    /// slice (the engine runs them on the port's owning worker, between
+    /// that port's requests).
     /// @{
     /** One stored copy surfaced by maintenanceScanRow(): where it
      *  sits, which home bucket it is attributed to, and at what probe
@@ -556,8 +492,7 @@ class CaRamSlice
      * have hollowed out the chain tail.  Conservative: a distance
      * stays alive while *any* record in its row lists @p home among
      * its candidate buckets, so no reachable copy ever drops out of
-     * the walk (concurrent readers see either reach and find every
-     * copy either way).  Linear probing only -- SecondHash strides
+     * the walk.  Linear probing only -- SecondHash strides
      * are key-dependent (the chain is not enumerable without the
      * departed keys) and None never sets a reach.  Returns the number
      * of distances trimmed (0 if nothing changed).
@@ -605,31 +540,8 @@ class CaRamSlice
      *  true when found. */
     bool eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed);
 
-    /**
-     * Writer side of the row seqlock: bump the row's (striped) sequence
-     * to odd on entry, back to even on exit, with the fences the
-     * TSan-clean seqlock recipe requires (entry: relaxed increment then
-     * release fence, so the data stores cannot float above the odd
-     * value; exit: release increment, so they cannot sink below the
-     * even one).  Guards must NOT nest -- a second guard on the same
-     * stripe would flip the sequence back to even mid-write -- so every
-     * mutation site takes disjoint, sequential guard scopes.
-     */
-    class [[nodiscard]] RowWriteGuard
-    {
-      public:
-        RowWriteGuard(CaRamSlice &s, uint64_t row);
-        ~RowWriteGuard();
-        RowWriteGuard(const RowWriteGuard &) = delete;
-        RowWriteGuard &operator=(const RowWriteGuard &) = delete;
-
-      private:
-        std::atomic<uint64_t> &seq_;
-    };
-
-    /** Record @p row as dirtied for cache-region accounting; called by
-     *  every RowWriteGuard construction (the guard brackets exactly
-     *  the stores that can change a lookup's outcome). */
+    /** Record @p row as dirtied for cache-region accounting; called
+     *  before every store that can change a lookup's outcome. */
     void
     noteRowDirty(uint64_t row)
     {
@@ -637,26 +549,13 @@ class CaRamSlice
                                std::memory_order_relaxed);
     }
 
-    /** Whole-array writer guard for clear()/adoptRamContents(): marks
-     *  every stripe busy for the duration. */
-    class [[nodiscard]] AllRowsWriteGuard
+    /** Whole-array rewrite (clear()/adoptRamContents()): every cache
+     *  region is dirty. */
+    void
+    noteAllRowsDirty()
     {
-      public:
-        explicit AllRowsWriteGuard(CaRamSlice &s);
-        ~AllRowsWriteGuard();
-        AllRowsWriteGuard(const AllRowsWriteGuard &) = delete;
-        AllRowsWriteGuard &operator=(const AllRowsWriteGuard &) = delete;
-
-      private:
-        CaRamSlice &slice_;
-    };
-
-    /** Seqlock-validated snapshot of @p row into @p dst (wordsPerRow
-     *  words); retries until a consistent copy is read. */
-    void snapshotRowConcurrent(uint64_t row, uint64_t *dst) const;
-
-    /** True when fault injection wants the next snapshot to retry. */
-    bool tearPending() const;
+        dirtyRegions_.store(~uint64_t{0}, std::memory_order_relaxed);
+    }
 
     /** Consultation on and the filter trustworthy (not suspended by a
      *  RAM-mode store)?  Checked once per search entry point. */
@@ -666,25 +565,6 @@ class CaRamSlice
         return prefilterEnabled_.load(std::memory_order_relaxed) &&
                !filter_.suspended();
     }
-
-    /**
-     * Filter consult for concurrent readers: the verdict is trusted
-     * only when @p row's seqlock stripe was quiescent across the read
-     * (every filter write happens inside a writer section, so a
-     * validated read observes a published filter state).  Returns true
-     * -- fetch the row -- whenever validation fails; the error stays
-     * one-sided (see DESIGN.md section 4e).
-     */
-    bool prefilterMayMatchConcurrent(uint64_t row, uint64_t sig,
-                                     bool sig_usable) const;
-
-    /** Validated home consult: mayMatch plus the mirrored reach.  When
-     *  validation fails, returns false with @p valid cleared -- the
-     *  caller snapshots the home row and reads its reach instead. */
-    bool prefilterConsultHomeConcurrent(uint64_t home, uint64_t sig,
-                                        bool sig_usable,
-                                        unsigned &reach_out,
-                                        bool &valid) const;
 
     SliceConfig cfg;
     std::unique_ptr<hash::IndexGenerator> idxGen;
@@ -791,39 +671,17 @@ class CaRamSlice
     uint64_t batchChunks_ = 0;
     uint64_t batchSortsSkipped_ = 0;
 
-    // Striped per-row sequence locks: stripe count is the row count
-    // rounded up to a power of two, capped at 64 Ki stripes (1 MiB of
-    // padded counters).  False sharing between adjacent stripes is
-    // avoided by cache-line alignment; false *conflicts* (two rows on
-    // one stripe) only cost a reader retry, never correctness.  The
-    // writer side assumes a single mutating thread per slice -- the
-    // ownership rule the scratch guard already enforces -- so the
-    // sequence bump needs no CAS.
-    struct alignas(64) RowSeq
-    {
-        std::atomic<uint64_t> v{0};
-    };
-    std::vector<RowSeq> rowSeqs_;
-    uint64_t seqMask_ = 0;
-
     // Cache-region accounting: rows map onto <= kCacheRegions
     // power-of-two runs (shift chosen so the top region index fits in
-    // 6 bits for any row count, power of two or not); writer sections
-    // OR their row's region bit into the dirty accumulator, drained by
+    // 6 bits for any row count, power of two or not); mutations OR
+    // their rows' region bits into the dirty accumulator, drained by
     // takeDirtyRegionMask().
     unsigned cacheRegionShift_ = 0;
     std::atomic<uint64_t> dirtyRegions_{0};
 
-    // Torn-read fault injection (CARAM_SEQLOCK_TEAR / the setter) and
-    // the retry observability counter.  Mutable: the reader side is
-    // const.
-    std::atomic<unsigned> tearEvery_{0};
-    mutable std::atomic<uint64_t> snapshotTick_{0};
-    mutable std::atomic<uint64_t> tornRetries_{0};
-
     // The per-row counting pre-filter.  Maintained unconditionally by
-    // every mutation path (inside the rows' seqlock writer sections);
-    // consulted by the search paths only when prefilterEnabled_ says
+    // every mutation path; consulted by the search paths only when
+    // prefilterEnabled_ says
     // so and no RAM-mode store has suspended it.  The skip/probe
     // counters are atomic because fan-out shard workers walk chains
     // concurrently (relaxed: they are observability, not ordering).

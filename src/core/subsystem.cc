@@ -3,7 +3,6 @@
 #include <ostream>
 
 #include "common/logging.h"
-#include "sim/epoch.h"
 #include "common/strings.h"
 
 namespace caram::core {
@@ -152,13 +151,6 @@ CaRamSubsystem::submitBatch(std::span<const PortRequest> requests)
 PortResponse
 executePortRequest(Database &db, const PortRequest &req)
 {
-    return executePortRequest(db, req, nullptr);
-}
-
-PortResponse
-executePortRequest(Database &db, const PortRequest &req,
-                   sim::EpochDomain *domain)
-{
     PortResponse resp;
     resp.tag = req.tag;
     resp.port = req.port;
@@ -190,15 +182,7 @@ executePortRequest(Database &db, const PortRequest &req,
             resp.ok = false;
             break;
         }
-        // Concurrent-mutation engines pass an epoch domain: a Probing
-        // database then repacks into a fresh slice and swaps it in, so
-        // epoch-guarded readers are never stalled (nor ever observe a
-        // half-repacked table).  The response is bit-identical to the
-        // in-place path.
-        const bool swap = domain != nullptr &&
-            db.config().overflow == OverflowPolicy::Probing;
-        const Database::RebuildSummary s =
-            swap ? db.rebuildSwap(*domain) : db.rebuild();
+        const Database::RebuildSummary s = db.rebuild();
         resp.hit = s.ok;
         resp.data = s.records;
         break;

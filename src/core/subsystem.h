@@ -40,8 +40,8 @@ enum class PortOp
     Rebuild,
     /** Engine-internal: one background maintenance step (migrate /
      *  trim / adopt; see engine::MaintenanceEngine).  Rides the port
-     *  request plumbing so the writer lane stays the single mutation
-     *  authority, but produces no PortResponse and never reaches
+     *  request plumbing so the port's owning worker stays its only
+     *  executing thread, but produces no PortResponse and never reaches
      *  executePortRequest(), which panics on it. */
     Maintenance,
 };
@@ -87,19 +87,6 @@ struct PortResponse
  * produce bit-identical result streams.
  */
 PortResponse executePortRequest(Database &db, const PortRequest &req);
-
-/**
- * executePortRequest() variant for the concurrent-mutation engine: when
- * @p domain is non-null and the request is a Rebuild a Probing database
- * can serve concurrently (canRebuild()), the rebuild routes through
- * Database::rebuildSwap() -- readers keep searching the old slice while
- * the fresh one is packed, and the old slice is retired into @p domain.
- * Every other combination behaves exactly like the two-argument form,
- * and the response is bit-identical either way (rebuildSwap repacks the
- * same record stream into the same table).
- */
-PortResponse executePortRequest(Database &db, const PortRequest &req,
-                                sim::EpochDomain *domain);
 
 /** The full CA-RAM memory subsystem. */
 class CaRamSubsystem

@@ -97,10 +97,6 @@ MaintenanceEngine::executeStep(core::Database &db, unsigned port)
 {
     PortMaintenance &pm = *ports_[port];
     uint64_t row_ops = 0;
-    // A migration the tear hook interrupted last step finishes first:
-    // at most one transient duplicate per port exists at any time.
-    if (pm.pending.active)
-        row_ops += finishPending(db, pm);
     const core::SliceConfig &scfg = db.slice().config();
     // Migration and adoption move one stored copy of a key -- sound
     // for result streams only when a search key can match exactly one
@@ -124,7 +120,7 @@ MaintenanceEngine::executeStep(core::Database &db, unsigned port)
     const uint64_t rows = scfg.rows();
     const uint64_t ov_rows = adopt ? db.overflowSlice()->config().rows() : 0;
     const uint64_t span = rows + ov_rows;
-    for (unsigned n = 0; n < kRowsPerStep && !pm.pending.active; ++n) {
+    for (unsigned n = 0; n < kRowsPerStep; ++n) {
         // Overflow-only tables (probe None, not Linear) have no useful
         // main-row work: sweep the overflow span only.
         if (!migrate && !trim && pm.cursor < rows)
@@ -155,46 +151,30 @@ MaintenanceEngine::mainRowPass(core::Database &db, PortMaintenance &pm,
     if (migrate) {
         row_ops += 1; // the row scan fetch
         sl.maintenanceScanRow(row, pm.scan);
-        const unsigned tear = sl.tornReadInjection();
         for (const auto &ms : pm.scan) {
-            if (pm.pending.active)
-                break;
             if (ms.distance == 0)
                 continue;
             if (!sl.maintenanceHasCloserSlot(ms.home, ms.distance,
                                              ms.record.key))
                 continue;
-            // Phase 1: publish the closer copy.  insertAt lands at the
-            // minimal free probe distance, which the check above proved
-            // is strictly closer than the current placement.
+            // insertAt lands at the minimal free probe distance, which
+            // the check above proved is strictly closer than the
+            // current placement.
             const core::InsertResult placed = sl.insertAt(ms.home,
                                                           ms.record);
             if (!placed.ok)
                 continue;
             if (placed.distance >= ms.distance) {
-                // Defensive (single mutation authority: cannot happen).
+                // Defensive (one thread owns the table: cannot happen).
                 sl.removePlacement(placed);
                 continue;
             }
-            row_ops += 2;
-            pm.pending.active = true;
-            pm.pending.onOverflow = false;
-            pm.pending.oldPlacement = core::InsertResult{
-                true, ms.home, row, ms.slot, ms.distance};
-            pm.pending.key = ms.record.key;
-            pm.pending.stamp = engine_->epochDomain_.advance();
+            // The closer copy is in; retire the far one in the same
+            // step: 2 row ops for the insert, 1 for the removal.
+            sl.removePlacement(core::InsertResult{true, ms.home, row,
+                                                  ms.slot, ms.distance});
+            row_ops += 3;
             rowsMigrated_.fetch_add(1, std::memory_order_relaxed);
-            // Tear injection: leave the migration half-done (both
-            // copies live).  Readers still see a complete record; the
-            // next step on this port retires the far copy.
-            if (tear != 0 &&
-                migrationTick_.fetch_add(1, std::memory_order_relaxed) %
-                        tear ==
-                    tear - 1) {
-                tornSteps_.fetch_add(1, std::memory_order_relaxed);
-                return row_ops;
-            }
-            row_ops += finishPending(db, pm);
         }
     }
     if (trim) {
@@ -217,10 +197,7 @@ MaintenanceEngine::overflowRowPass(core::Database &db, PortMaintenance &pm,
     core::CaRamSlice &main = db.slice();
     uint64_t row_ops = 1; // the row scan fetch
     ov->maintenanceScanRow(row, pm.scan);
-    const unsigned tear = main.tornReadInjection();
     for (const auto &ms : pm.scan) {
-        if (pm.pending.active)
-            break;
         const uint64_t home = main.homeRow(ms.record.key);
         core::BucketView hb = main.bucket(home);
         // Adopt only while the main chain holds no match for this key:
@@ -231,62 +208,19 @@ MaintenanceEngine::overflowRowPass(core::Database &db, PortMaintenance &pm,
                            hb.slotMatchesKey(s, ms.record.key);
         if (main_matches)
             continue;
-        // Phase 1: publish the copy in the main table (probe policy is
-        // None on overflow-area tables, so this is home-bucket-only).
+        // Place the copy in the main table (probe policy is None on
+        // overflow-area tables, so this is home-bucket-only), then
+        // retire the overflow copy in the same step.
         const core::InsertResult placed = main.insertAt(home, ms.record);
         if (!placed.ok)
             continue;
-        row_ops += 2;
-        pm.pending.active = true;
-        pm.pending.onOverflow = true;
-        pm.pending.oldPlacement =
-            core::InsertResult{true, ms.home, row, ms.slot, ms.distance};
-        pm.pending.key = ms.record.key;
-        pm.pending.stamp = engine_->epochDomain_.advance();
+        ov->removePlacement(
+            core::InsertResult{true, ms.home, row, ms.slot, ms.distance});
+        db.noteOverflowMutation(ms.record.key);
+        row_ops += 3;
         overflowCompacted_.fetch_add(1, std::memory_order_relaxed);
-        if (tear != 0 &&
-            migrationTick_.fetch_add(1, std::memory_order_relaxed) % tear ==
-                tear - 1) {
-            tornSteps_.fetch_add(1, std::memory_order_relaxed);
-            return row_ops;
-        }
-        row_ops += finishPending(db, pm);
     }
     return row_ops;
-}
-
-uint64_t
-MaintenanceEngine::finishPending(core::Database &db, PortMaintenance &pm)
-{
-    // Phase 2: wait until every reader that entered before the new
-    // copy's publish-advance has exited, then retire the far copy.
-    // The only concurrent readers of a checked-out port are peek()
-    // calls, which pin the engine's epoch domain for their duration.
-    while (!engine_->epochDomain_.quiescentSince(pm.pending.stamp))
-        std::this_thread::yield();
-    if (pm.pending.onOverflow) {
-        db.overflowSlice()->removePlacement(pm.pending.oldPlacement);
-        db.noteOverflowMutation(pm.pending.key);
-    } else {
-        db.slice().removePlacement(pm.pending.oldPlacement);
-    }
-    pm.pending.active = false;
-    return 1;
-}
-
-void
-MaintenanceEngine::completePending(core::Database &db, unsigned port)
-{
-    PortMaintenance &pm = *ports_[port];
-    if (pm.pending.active)
-        finishPending(db, pm);
-}
-
-void
-MaintenanceEngine::flushAllPending()
-{
-    for (unsigned p = 0; p < ports_.size(); ++p)
-        completePending(engine_->sys->database(p), p);
 }
 
 double

@@ -12,33 +12,28 @@
  * in-DRAM maintenance (SelfManagingDRAM) and PIM hashmaps that overlap
  * housekeeping with lookups (HashMem): a background *planner* thread
  * paces small incremental steps -- and the steps themselves execute on
- * the port's writer lane through the ordinary request plumbing, so the
- * per-port FIFO and the per-row seqlock writer sections remain the
- * single mutation authority.  No drain, no downtime.
+ * the port's owning worker through the ordinary request plumbing,
+ * between two of the port's requests, so no other thread ever sees a
+ * table mid-step.  No drain, no downtime.
  *
  * One step visits a bounded run of rows and, per row:
  *  - **Migration / hole filling**: a spilled record whose probe chain
  *    now has a free slot strictly closer to its home bucket is moved
- *    there two-phase: (1) publish a second copy at the closer slot
- *    (ordinary insertAt inside its row's seqlock section), advance the
- *    engine's epoch domain; (2) once every reader pinned before the
- *    advance has exited (sim::EpochDomain::quiescentSince), remove the
- *    far copy.  A concurrent seqlock reader therefore observes one or
- *    both complete copies of the record -- never zero, never a torn
- *    one.
+ *    there in one go: insertAt() the closer copy, then
+ *    removePlacement() the far one.
  *  - **Reach trimming**: a home bucket whose linear overflow chain was
  *    hollowed out by erases gets its reach shrunk to the furthest
  *    surviving attributable copy, so lookups stop walking dead rows.
  *  - **Overflow adoption**: a record that spilled to the parallel
  *    overflow slice is adopted back into its (now free) home bucket in
- *    the main table via the same two-phase protocol, shortening the
- *    parallel chain every lookup races against.
+ *    the main table the same way, shortening the parallel chain every
+ *    lookup races against.
  *
  * Interference is bounded SMD-style: at most one step is outstanding,
  * a step runs only when the engine is idle or enough foreground
  * operations completed since the last step, and the planner backs off
  * under queue pressure.  Steps charge their modeled row operations to
- * the writer lane's cycle account, so the interference is visible in
+ * the owning worker's cycle account, so the interference is visible in
  * modeled throughput, not hidden.
  *
  * Result-stream invariance: migration and adoption are restricted to
@@ -60,18 +55,15 @@
 #include <thread>
 #include <vector>
 
-#include "common/key.h"
 #include "core/database.h"
-#include "core/record.h"
 #include "core/slice.h"
-#include "sim/epoch.h"
 
 namespace caram::engine {
 
 class ParallelSearchEngine;
 
-/** Background maintenance planner + lane-side step executor.  Owned by
- *  ParallelSearchEngine (one per engine, covering all its ports). */
+/** Background maintenance planner + owner-side step executor.  Owned
+ *  by ParallelSearchEngine (one per engine, covering all its ports). */
 class MaintenanceEngine
 {
   public:
@@ -91,41 +83,22 @@ class MaintenanceEngine
     MaintenanceEngine(const MaintenanceEngine &) = delete;
     MaintenanceEngine &operator=(const MaintenanceEngine &) = delete;
 
-    /** Spawn the planner thread (call after the engine's workers and
-     *  writer lanes are up). */
+    /** Spawn the planner thread (call after the engine's workers are
+     *  up). */
     void start();
 
-    /** Stop and join the planner.  Pending (interrupted) migrations
-     *  are NOT flushed here -- the engine flushes them once the
-     *  execution threads are quiesced (flushAllPending()). */
+    /** Stop and join the planner. */
     void stopPlanner();
 
     /**
      * Execute one maintenance step against @p port's database.  Must
-     * run on the port's execution authority (its writer lane, or the
-     * owning worker when concurrentMutation is off) with the port
-     * checked out -- ParallelSearchEngine::execute() routes
-     * PortOp::Maintenance requests here.  Returns the modeled row
-     * operations performed (row scans + slot writes), which the caller
-     * charges to the lane's cycle account.
+     * run on the port's owning worker --
+     * ParallelSearchEngine::execute() routes PortOp::Maintenance
+     * requests here.  Returns the modeled row operations performed
+     * (row scans + slot writes), which the caller charges to the
+     * worker's cycle account.
      */
     uint64_t executeStep(core::Database &db, unsigned port);
-
-    /**
-     * Complete @p port's interrupted (torn) migration, if one is
-     * pending: epoch-quiesce and remove the far copy.  The engine
-     * calls this from the execution path before a user Erase or
-     * Rebuild runs on the port, so those operations never observe the
-     * transient duplicate (an Erase would remove both copies and
-     * report an extra removal; a Rebuild would repack the duplicate
-     * into two live records).
-     */
-    void completePending(core::Database &db, unsigned port);
-
-    /** Complete every port's pending migration from the calling
-     *  thread.  Only valid once no execution thread can mutate the
-     *  databases (engine stop, after the joins). */
-    void flushAllPending();
 
     /// @name Report accessors (relaxed counters, readable any time)
     /// @{
@@ -146,10 +119,6 @@ class MaintenanceEngine
     {
         return reachTrims_.load(std::memory_order_relaxed);
     }
-    uint64_t tornSteps() const
-    {
-        return tornSteps_.load(std::memory_order_relaxed);
-    }
     uint64_t backoffs() const
     {
         return backoffs_.load(std::memory_order_relaxed);
@@ -163,27 +132,12 @@ class MaintenanceEngine
     /// @}
 
   private:
-    /** An interrupted two-phase migration: the new (closer) copy is
-     *  published, the far copy at `oldPlacement` still awaits removal.
-     *  Written and consumed only by the port's execution authority
-     *  (steps on one port are serialized by the per-port FIFO), plus
-     *  flushAllPending() after the executors are joined. */
-    struct PendingMigration
-    {
-        bool active = false;
-        bool onOverflow = false;   ///< far copy lives in overflow slice
-        core::InsertResult oldPlacement;
-        Key key;                   ///< migrated key (region accounting)
-        uint64_t stamp = 0;        ///< epoch advance() at publish time
-    };
-
     /** Per-port maintenance state.  The sweep cursor and scratch are
-     *  touched only by the port's execution authority; the amal cells
-     *  are atomics because report() reads them live. */
+     *  touched only by the port's owning worker; the amal cells are
+     *  atomics because report() reads them live. */
     struct PortMaintenance
     {
         uint64_t cursor = 0; ///< next row in the main+overflow span
-        PendingMigration pending;
         std::vector<core::CaRamSlice::MaintenanceSlot> scan;
         std::atomic<bool> amalSeeded{false};
         std::atomic<uint64_t> amalBeforeBits{0};
@@ -198,8 +152,6 @@ class MaintenanceEngine
     /** Adoption pass over one overflow-slice row. */
     uint64_t overflowRowPass(core::Database &db, PortMaintenance &pm,
                              uint64_t row);
-    /** Phase 2 of a migration: quiesce, then remove the far copy. */
-    uint64_t finishPending(core::Database &db, PortMaintenance &pm);
 
     ParallelSearchEngine *engine_;
     std::vector<std::unique_ptr<PortMaintenance>> ports_;
@@ -211,17 +163,12 @@ class MaintenanceEngine
     /** Foreground completion count at the last submitted step. */
     uint64_t lastStepCompleted_ = 0;
     unsigned nextPort_ = 0;
-    /** Tick used by the tear-injection hook to interrupt every Nth
-     *  migration mid-step (single writer: the executing lane; ports
-     *  share it so low-traffic legs still exercise the path). */
-    std::atomic<uint64_t> migrationTick_{0};
 
     std::atomic<uint64_t> steps_{0};
     std::atomic<uint64_t> sweeps_{0};
     std::atomic<uint64_t> rowsMigrated_{0};
     std::atomic<uint64_t> overflowCompacted_{0};
     std::atomic<uint64_t> reachTrims_{0};
-    std::atomic<uint64_t> tornSteps_{0};
     std::atomic<uint64_t> backoffs_{0};
 };
 

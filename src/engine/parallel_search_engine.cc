@@ -66,30 +66,6 @@ envResultCacheEntries()
     return static_cast<std::size_t>(v);
 }
 
-/** CARAM_WRITER_LANES, parsed fresh on every call like the knobs
- *  above.  The lane-forced CI leg sets it to 4 so every engine whose
- *  config leaves writerLanes at 0 spreads its ports over four writer
- *  threads. */
-std::optional<unsigned>
-envWriterLanes()
-{
-    const char *env = std::getenv("CARAM_WRITER_LANES");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v == 0) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_WRITER_LANES=%s is not a positive "
-                           "number; writer lanes stay "
-                           "config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return static_cast<unsigned>(v);
-}
-
 /** CARAM_PREFILTER, parsed fresh on every call like the knobs above.
  *  The forced-filter CI leg sets it to 1 so every engine whose config
  *  leaves `prefilter` unset runs the whole suite consulting the
@@ -163,15 +139,6 @@ struct ParallelSearchEngine::FanoutTask
     sim::CompletionLatch *latch;
 };
 
-/** One writer-lane hand-off: a run of same-port non-Search jobs in
- *  submission order.  The receiving writer thread executes it with its
- *  own scratch (the lane's trailing Worker), drains any runs staged
- *  behind it, then clears the port's busy flag and rings the owner. */
-struct ParallelSearchEngine::MutationRun
-{
-    std::vector<Job> jobs;
-};
-
 /** Per-port result stream and instrumentation. */
 struct ParallelSearchEngine::PortState
 {
@@ -190,40 +157,11 @@ struct ParallelSearchEngine::PortState
     std::vector<core::PortResponse> results;
     std::size_t resultHead = 0;
     PortStats stats;
-    /** concurrentMutation hand-off flag: true from the moment the
-     *  owning worker passes a mutation run to the writer lane until the
-     *  writer releases the port.  Set by the owner (release), cleared
-     *  by the writer (release), read by the owner (acquire) -- the
-     *  clear/read pair is what serializes the two threads' access to
-     *  the port's database and non-atomic stats aggregates. */
-    std::atomic<bool> busy{false};
-    /** Jobs deferred while the writer lane holds the port, in
-     *  submission order.  Touched only by the owning worker. */
-    std::vector<Job> pending;
-    /**
-     * Writer-combining staging: mutation runs the owner appended while
-     * the port's lane was already executing a hand-off for it.  The
-     * protocol that makes staging race-free: the owner appends only
-     * after re-checking `busy` under stageMutex, and the lane clears
-     * `busy` under the same mutex only when the staging is empty -- so
-     * every appended run is drained by the current hand-off, in
-     * submission order, before the port is released.  Staging is only
-     * entered while `pending` is empty, so a staged mutation can never
-     * jump ahead of a deferred search.
-     */
-    std::mutex stageMutex;
-    std::vector<MutationRun> staged;
     /** Cached Database::searchBandwidthMsps (bit-cast double), written
      *  by refreshAnalyticBounds() at quiesced points and read by
      *  report() -- the live computation would read non-atomic slice
-     *  load statistics under writer-lane/maintenance mutation. */
+     *  load statistics while the owning worker mutates them. */
     std::atomic<uint64_t> analyticBoundBits{0};
-    /** Pre-filter consult/skip totals (main + overflow slice), also
-     *  snapshot at quiesced points: the counters live on the slice
-     *  object itself, and a lane-executed rebuildSwap replaces that
-     *  object under report()'s feet. */
-    std::atomic<uint64_t> prefilterProbesSnap{0};
-    std::atomic<uint64_t> prefilterSkipsSnap{0};
 };
 
 /** One worker: its request queue and its private modeled clock. */
@@ -250,9 +188,6 @@ struct ParallelSearchEngine::Worker
     std::atomic<uint64_t> batchedSearchRuns{0};
     std::atomic<uint64_t> adaptiveSerialRuns{0};
     std::atomic<uint64_t> batchedInsertRuns{0};
-    /** Mutation runs this worker appended to a busy port's staging
-     *  list (writer combining) instead of a fresh hand-off. */
-    std::atomic<uint64_t> stagedRuns{0};
     /** Result-cache stamping scratch: candidate-home scratch for
      *  Database::searchRegionMask, and the per-key region masks /
      *  stamps of one batched segment (captured before the slice
@@ -293,9 +228,6 @@ struct ParallelSearchEngine::Worker
     };
     std::vector<Finished> finished;
     uint64_t executed = 0;
-    /** drainPending() swaps a port's deferred jobs in here, keeping
-     *  both vectors' storage alive across hand-offs. */
-    std::vector<Job> redispatch;
 };
 
 ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
@@ -309,17 +241,6 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
         fatal("engine queue capacity must be nonzero");
     if (cfg.drainBatch == 0)
         cfg.drainBatch = 1;
-    if (cfg.workers == 0)
-        cfg.concurrentMutation = false; // inline mode is serial already
-    // Writer lanes: an explicit config value always wins over the
-    // environment; 0 defers to CARAM_WRITER_LANES, unset resolves to
-    // the single PR 6 lane.
-    if (cfg.concurrentMutation) {
-        unsigned lanes = cfg.writerLanes;
-        if (lanes == 0)
-            lanes = envWriterLanes().value_or(1);
-        writerLaneCount_ = std::clamp(lanes, 1u, 16u);
-    }
     cfg.rowFanoutMaxShards =
         std::clamp(cfg.rowFanoutMaxShards, 1u, kMaxFanoutShards);
     rowFanoutMin_ = cfg.rowFanoutMin;
@@ -341,8 +262,7 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     }
     // Pre-filter: an explicit config value (including an explicit
     // false, which pins the filter off) always wins over the
-    // environment.  The flag lives on the slices themselves, so
-    // rebuildSwap() replacements inherit it without engine help.
+    // environment.  The flag lives on the slices themselves.
     prefilter_ = cfg.prefilter.value_or(false);
     if (!cfg.prefilter.has_value()) {
         if (const auto env = envPrefilter())
@@ -374,18 +294,6 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
     refreshAnalyticBounds(); // pre-thread: nothing can be mutating yet
     for (unsigned w = 0; w < workerCount; ++w)
         workers.push_back(std::make_unique<Worker>(cfg.queueCapacity));
-    if (cfg.concurrentMutation) {
-        for (unsigned l = 0; l < writerLaneCount_; ++l) {
-            writerQueues.push_back(
-                std::make_unique<sim::ConcurrentBoundedQueue<MutationRun>>(
-                    std::max<std::size_t>(16, ports.size())));
-            // Each lane's scratch and counters live in one trailing
-            // Worker (index workerCount + lane, request queue unused)
-            // so report() folds its modeled cycles and ingest
-            // accounting in unchanged.
-            workers.push_back(std::make_unique<Worker>(1));
-        }
-    }
     wallStart = std::chrono::steady_clock::now();
 }
 
@@ -409,8 +317,6 @@ ParallelSearchEngine::start()
     wallStart = std::chrono::steady_clock::now();
     for (unsigned w = 0; w < cfg.workers; ++w)
         threads.emplace_back([this, w] { workerMain(w); });
-    for (unsigned l = 0; l < writerLaneCount_; ++l)
-        writerThreads.emplace_back([this, l] { writerMain(l); });
     if (maintenance_)
         maintenance_->start();
 }
@@ -449,9 +355,8 @@ ParallelSearchEngine::publish(Worker &self)
             std::size_t j = i;
             while (j < n && self.finished[j].resp.port == port_no)
                 ++j;
-            // One run of this port's responses.  Its stats aggregates
-            // have one writer at a time (this thread owns the port, or
-            // holds it checked out), so they update unlocked.
+            // One run of this port's responses.  This thread owns the
+            // port, so its stats aggregates update unlocked.
             PortState &port = *ports[port_no];
             uint64_t hits = 0;
             uint64_t errors = 0;
@@ -688,10 +593,9 @@ ParallelSearchEngine::invalidateCache(unsigned port, bool wholePort)
     // bump exactly their regions (rebuilds and bulk loads bump the
     // whole port -- a repack moves records between rows wholesale, so
     // even an untouched region's cached bucketsAccessed could change).
-    // Bumping *after* the mutation is safe because the port's requests
-    // are serialized -- by the owning worker in inline/blocking mode,
-    // and by the busy-flag hand-off under concurrentMutation -- so no
-    // probe of this port can run between the mutation and the bump.
+    // Bumping *after* the mutation is safe because one thread executes
+    // the port's requests in order, so no probe of this port can run
+    // between the mutation and the bump.
     // The dirty mask is drained even on the whole-port path so stale
     // bits never leak into a later mutation's bump.
     const uint64_t dirty = sys->database(port).takeDirtyRegionMask();
@@ -709,12 +613,11 @@ ParallelSearchEngine::execute(
     std::chrono::steady_clock::time_point enqueued, unsigned worker_index)
 {
     if (request.op == core::PortOp::Maintenance) {
-        // Engine-internal maintenance step: runs here -- on the port's
-        // execution authority, with the port checked out -- so the
-        // writer lane stays the single mutation authority.  No
+        // Engine-internal maintenance step: runs here, on the port's
+        // owning worker between two of the port's requests.  No
         // response, no per-port stats; the modeled row operations are
-        // charged to the executing thread so the interference shows up
-        // in modeled throughput.
+        // charged to the worker so the interference shows up in
+        // modeled throughput.
         core::Database &db = sys->database(request.port);
         uint64_t row_ops = 0;
         if (maintenance_ &&
@@ -728,16 +631,6 @@ ParallelSearchEngine::execute(
                 cycles, std::memory_order_relaxed);
         }
         return;
-    }
-    // A user Erase or Rebuild must not observe the transient duplicate
-    // of a tear-interrupted migration (the Erase would remove and
-    // count both copies; a Rebuild would repack them into two live
-    // records): retire the far copy first.
-    if (maintenance_ && (request.op == core::PortOp::Erase ||
-                         request.op == core::PortOp::Rebuild)) {
-        core::Database &db = sys->database(request.port);
-        if (db.powerState() == core::PowerState::Active)
-            maintenance_->completePending(db, request.port);
     }
     if (request.op == core::PortOp::Search) {
         if (resultCache_ || rowFanoutMin_ > 0) {
@@ -781,13 +674,7 @@ ParallelSearchEngine::execute(
         cache_stamp =
             resultCache_->captureStamp(request.port, cache_mask);
     }
-    // Under concurrentMutation the engine's epoch domain rides along so
-    // a Rebuild (which only ever executes on the writer lane in that
-    // mode) becomes a non-blocking rebuildSwap; everything else, and
-    // every request in the default mode, behaves exactly as before.
-    core::PortResponse resp = core::executePortRequest(
-        req_db, request,
-        cfg.concurrentMutation ? &epochDomain_ : nullptr);
+    core::PortResponse resp = core::executePortRequest(req_db, request);
     if (request.op != core::PortOp::Search) {
         // Row-granular coherence: the mutation ran, its dirty rows are
         // known -- bump exactly their regions (whole port for Rebuild:
@@ -994,7 +881,7 @@ ParallelSearchEngine::executeInsertRun(const Job *jobs, std::size_t count,
     self.batchedInsertRuns.fetch_add(1, std::memory_order_relaxed);
 
     // Invalidate *after* the batch lands: the slice accumulated the
-    // exact dirty-region mask while the guards ran, and per-port
+    // exact dirty-region mask while it wrote, and per-port
     // serialization guarantees no search on this port probes between
     // the writes and this bump.
     invalidateCache(port_no, /*wholePort=*/false);
@@ -1064,111 +951,21 @@ ParallelSearchEngine::workerMain(unsigned index)
             processJobs(batch, index);
             progressed = true;
         }
-        // Jobs deferred behind a writer-lane hand-off whose port has
-        // been released come next (the writer rang this bell).
-        if (drainPending(index))
-            progressed = true;
         if (progressed)
             continue;
         // Nothing anywhere: park on the doorbell.  Producers (submits
-        // to this worker's queue, fan-out shard pushes, writer-lane
-        // releases, stop()) ring after publishing, and the predicate
-        // re-checks every source under the bell mutex, so no wakeup
-        // can be lost.
+        // to this worker's queue, fan-out shard pushes, stop()) ring
+        // after publishing, and the predicate re-checks every source
+        // under the bell mutex, so no wakeup can be lost.
         std::unique_lock<std::mutex> lock(self.bellMutex);
         if (self.queue.closed() && self.queue.empty() &&
-            fanoutTasks->empty() && !pendingReady(index))
+            fanoutTasks->empty())
             break;
         self.bell.wait(lock, [&] {
             return self.queue.closed() || !self.queue.empty() ||
-                   !fanoutTasks->empty() || pendingReady(index);
+                   !fanoutTasks->empty();
         });
     }
-}
-
-void
-ParallelSearchEngine::writerMain(unsigned lane)
-{
-    auto &queue = *writerQueues[lane];
-    const unsigned scratch_index = workerCount + lane;
-    for (;;) {
-        std::optional<MutationRun> run = queue.pop();
-        if (!run)
-            break; // closed and drained
-        const unsigned port_no = run->jobs[0].request.port;
-        PortState &port = *ports[port_no];
-        // Execute with this lane's own scratch and counters (its
-        // trailing Worker) through the normal run loop -- consecutive
-        // Insert jobs still combine into one bulk ingest, and the loop
-        // publishes every response before it returns, so nothing of
-        // this port is left buffered here once the flag drops.  While
-        // the port is checked out the owner may stage follow-up
-        // mutation runs directly onto it; drain the staging list until
-        // it is empty at the moment the busy flag drops.  Both sides hold
-        // stageMutex -- an owner that saw busy re-checks under the
-        // mutex before appending, so no staged run can be stranded
-        // behind a cleared flag.
-        std::vector<Job> jobs = std::move(run->jobs);
-        for (;;) {
-            processJobs(jobs, scratch_index);
-            jobs.clear();
-            {
-                std::lock_guard<std::mutex> lock(port.stageMutex);
-                if (port.staged.empty()) {
-                    port.busy.store(false, std::memory_order_release);
-                    break;
-                }
-                // Concatenate every staged run into one batch: the
-                // run loop re-splits it, and adjacent same-port insert
-                // runs combine into a single bulk ingest.
-                for (MutationRun &next : port.staged)
-                    jobs.insert(
-                        jobs.end(),
-                        std::make_move_iterator(next.jobs.begin()),
-                        std::make_move_iterator(next.jobs.end()));
-                port.staged.clear();
-            }
-        }
-        ring(workerOf(port_no));
-    }
-}
-
-bool
-ParallelSearchEngine::drainPending(unsigned index)
-{
-    if (!cfg.concurrentMutation)
-        return false;
-    Worker &self = *workers[index];
-    bool progressed = false;
-    for (std::size_t p = index; p < ports.size(); p += workerCount) {
-        PortState &port = *ports[p];
-        if (port.pending.empty() ||
-            port.busy.load(std::memory_order_acquire))
-            continue;
-        // Re-dispatch through the normal run loop.  If a deferred
-        // mutation hands the port off again, the jobs behind it land
-        // back in pending -- which the swap left empty, so the FIFO
-        // order is preserved.
-        self.redispatch.swap(port.pending);
-        processJobs(self.redispatch, index);
-        self.redispatch.clear();
-        progressed = true;
-    }
-    return progressed;
-}
-
-bool
-ParallelSearchEngine::pendingReady(unsigned index) const
-{
-    if (!cfg.concurrentMutation)
-        return false;
-    for (std::size_t p = index; p < ports.size(); p += workerCount) {
-        const PortState &port = *ports[p];
-        if (!port.pending.empty() &&
-            !port.busy.load(std::memory_order_acquire))
-            return true;
-    }
-    return false;
 }
 
 void
@@ -1177,122 +974,38 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
 {
     Worker &self = *workers[index];
     std::size_t i = 0;
-    {
-        while (i < batch.size()) {
-            // Extend a run of same-port searches -- or same-port
-            // inserts -- up to batchSize; any other request (or a port
-            // change) flushes the run, so mutations never reorder
-            // against the requests around them.
-            std::size_t j = i;
-            const core::PortOp op = batch[i].request.op;
-            // Writer lanes (index >= workerCount) execute what they
-            // are handed; with combining on they extend insert runs
-            // without the batchSize cap so a whole drained backlog
-            // becomes one bulk ingest (one row fetch + one seqlock
-            // writer section per distinct row).
-            const bool writer_lane = index >= workerCount;
-            const bool combine = writer_lane && cfg.writerCombining &&
-                                 op == core::PortOp::Insert;
-            if ((cfg.batchSize > 1 || combine) &&
-                (op == core::PortOp::Search ||
-                 op == core::PortOp::Insert)) {
-                while (j + 1 < batch.size() &&
-                       (combine || j + 1 - i < cfg.batchSize) &&
-                       batch[j + 1].request.op == op &&
-                       batch[j + 1].request.port ==
-                           batch[i].request.port)
-                    ++j;
-            }
-            // Writer-lane routing (only owning workers route).
-            if (cfg.concurrentMutation && !writer_lane) {
-                PortState &port = *ports[batch[i].request.port];
-                bool busy_now =
-                    port.busy.load(std::memory_order_acquire);
-                if (busy_now && op != core::PortOp::Search &&
-                    cfg.writerCombining && port.pending.empty()) {
-                    // The port is checked out to its writer lane and
-                    // nothing older is deferred: stage the mutations
-                    // directly onto the lane instead of parking them.
-                    // The lane drains staging before releasing the
-                    // port, so the run still executes in FIFO
-                    // position.  Re-check busy under stageMutex -- the
-                    // lane clears the flag under the same mutex only
-                    // when staging is empty, so an append here is
-                    // guaranteed to be seen.
-                    std::lock_guard<std::mutex> lock(port.stageMutex);
-                    if (port.busy.load(std::memory_order_acquire)) {
-                        MutationRun run;
-                        run.jobs.assign(
-                            batch.begin() +
-                                static_cast<std::ptrdiff_t>(i),
-                            batch.begin() +
-                                static_cast<std::ptrdiff_t>(j) + 1);
-                        port.staged.push_back(std::move(run));
-                        self.stagedRuns.fetch_add(
-                            1, std::memory_order_relaxed);
-                        i = j + 1;
-                        continue;
-                    }
-                    // Lane released the port between the loads: hand
-                    // off fresh below.  (pending stays empty -- only
-                    // this owner appends to it.)
-                    busy_now = false;
-                }
-                if (busy_now || !port.pending.empty()) {
-                    // A hand-off for this port is still in flight (or
-                    // older deferred jobs wait behind one): defer the
-                    // whole run so the port's FIFO order survives, and
-                    // keep serving the batch's other ports.
-                    for (std::size_t k = i; k <= j; ++k)
-                        port.pending.push_back(batch[k]);
-                    i = j + 1;
-                    continue;
-                }
-                if (op != core::PortOp::Search) {
-                    // Hand the mutation run to the port's writer lane
-                    // and move on to the next run instead of stalling.
-                    // Publish first: the lane publishes this port's
-                    // next responses and updates its stats, so none of
-                    // the port's earlier responses may still sit in
-                    // this thread's buffer.
-                    publish(self);
-                    MutationRun run;
-                    run.jobs.assign(batch.begin() +
-                                        static_cast<std::ptrdiff_t>(i),
-                                    batch.begin() +
-                                        static_cast<std::ptrdiff_t>(j) +
-                                        1);
-                    port.busy.store(true, std::memory_order_release);
-                    const unsigned lane = laneOf(batch[i].request.port);
-                    if (writerQueues[lane]->push(std::move(run))) {
-                        i = j + 1;
-                        continue;
-                    }
-                    // Queue closed (a stop() raced a straggler): fall
-                    // through and execute the run right here.
-                    port.busy.store(false, std::memory_order_release);
-                }
-            }
-            if (j > i && op == core::PortOp::Search &&
-                cfg.adaptiveBatch && self.serialHold > 0) {
-                // Backed off: recent runs found too little row sharing
-                // to amortize the grouping work -- execute serially
-                // (results identical) until the hold expires.
-                --self.serialHold;
-                self.adaptiveSerialRuns.fetch_add(
-                    1, std::memory_order_relaxed);
-                for (std::size_t k = i; k <= j; ++k)
-                    execute(batch[k].request, batch[k].enqueued, index);
-            } else if (j > i && op == core::PortOp::Search) {
-                executeSearchRun(batch.data() + i, j - i + 1, index);
-            } else if (j > i) {
-                executeInsertRun(batch.data() + i, j - i + 1, index);
-            } else {
-                execute(batch[i].request, batch[i].enqueued, index);
-            }
-            self.executed += j - i + 1;
-            i = j + 1;
+    while (i < batch.size()) {
+        // Extend a run of same-port searches -- or same-port inserts --
+        // up to batchSize; any other request (or a port change) flushes
+        // the run, so mutations never reorder against the requests
+        // around them.
+        std::size_t j = i;
+        const core::PortOp op = batch[i].request.op;
+        if (cfg.batchSize > 1 &&
+            (op == core::PortOp::Search || op == core::PortOp::Insert)) {
+            while (j + 1 < batch.size() && j + 1 - i < cfg.batchSize &&
+                   batch[j + 1].request.op == op &&
+                   batch[j + 1].request.port == batch[i].request.port)
+                ++j;
         }
+        if (j > i && op == core::PortOp::Search && cfg.adaptiveBatch &&
+            self.serialHold > 0) {
+            // Backed off: recent runs found too little row sharing to
+            // amortize the grouping work -- execute serially (results
+            // identical) until the hold expires.
+            --self.serialHold;
+            self.adaptiveSerialRuns.fetch_add(1, std::memory_order_relaxed);
+            for (std::size_t k = i; k <= j; ++k)
+                execute(batch[k].request, batch[k].enqueued, index);
+        } else if (j > i && op == core::PortOp::Search) {
+            executeSearchRun(batch.data() + i, j - i + 1, index);
+        } else if (j > i) {
+            executeInsertRun(batch.data() + i, j - i + 1, index);
+        } else {
+            execute(batch[i].request, batch[i].enqueued, index);
+        }
+        self.executed += j - i + 1;
+        i = j + 1;
     }
     publish(self);
 }
@@ -1510,16 +1223,6 @@ ParallelSearchEngine::refreshAnalyticBounds()
         const double bound = db.searchBandwidthMsps(cfg.timing);
         ports[p]->analyticBoundBits.store(std::bit_cast<uint64_t>(bound),
                                           std::memory_order_relaxed);
-        uint64_t probes = db.slice().prefilterProbes();
-        uint64_t skips = db.slice().prefilterSkips();
-        if (const core::CaRamSlice *ov = db.overflowSlice()) {
-            probes += ov->prefilterProbes();
-            skips += ov->prefilterSkips();
-        }
-        ports[p]->prefilterProbesSnap.store(probes,
-                                            std::memory_order_relaxed);
-        ports[p]->prefilterSkipsSnap.store(skips,
-                                           std::memory_order_relaxed);
     }
 }
 
@@ -1536,24 +1239,13 @@ ParallelSearchEngine::stop()
     stopped = true;
     for (auto &w : workers)
         w->queue.close();
-    for (auto &q : writerQueues)
-        q->close();       // drained already: writer lanes are idle
     fanoutTasks->close(); // drained already: no shard can be in flight
     ringAll();            // wake parked workers so they observe close
     for (std::thread &t : threads)
         t.join();
     threads.clear();
-    for (std::thread &t : writerThreads)
-        t.join();
-    writerThreads.clear();
     running = false;
-    // With every execution thread joined, retire any migration the
-    // tear hook left half-done so the stopped tables hold exactly one
-    // copy per record (peek() readers stay safe: this is the ordinary
-    // quiesce-then-remove phase 2).
-    if (maintenance_)
-        maintenance_->flushAllPending();
-    refreshAnalyticBounds(); // post-join: covers the flushed removals
+    refreshAnalyticBounds(); // post-join: nothing mutates any more
 }
 
 std::optional<core::PortResponse>
@@ -1566,20 +1258,6 @@ ParallelSearchEngine::fetchResult(unsigned port)
     if (state.resultHead == state.results.size())
         return std::nullopt;
     return std::move(state.results[state.resultHead++]);
-}
-
-core::SearchResult
-ParallelSearchEngine::peek(unsigned port, const Key &key) const
-{
-    if (port >= ports.size())
-        fatal(strprintf("peek at unknown virtual port %u", port));
-    // Thread-local scratch: peek() may run on any number of threads at
-    // once, and the scratch re-sizes itself to each call's row shape.
-    static thread_local core::CaRamSlice::ConcurrentSearchScratch scratch;
-    // Pin the epoch for the whole lookup so a concurrent rebuildSwap()
-    // cannot reclaim the slice we are reading.
-    const sim::EpochDomain::Guard guard(epochDomain_);
-    return sys->database(port).searchConcurrent(key, scratch);
 }
 
 const PortStats &
@@ -1595,11 +1273,10 @@ ParallelSearchEngine::report() const
 {
     EngineReport out;
     out.workers = workerCount;
-    out.writerLanes = writerLaneCount_;
     uint64_t total_cycles = 0;
     uint64_t max_cycles = 0;
-    for (std::size_t wi = 0; wi < workers.size(); ++wi) {
-        Worker &w = *workers[wi];
+    for (const auto &wp : workers) {
+        Worker &w = *wp;
         const uint64_t wc =
             w.modeledCycles.load(std::memory_order_relaxed);
         total_cycles += wc;
@@ -1610,16 +1287,9 @@ ParallelSearchEngine::report() const
             w.adaptiveSerialRuns.load(std::memory_order_relaxed);
         out.batchedInsertRuns +=
             w.batchedInsertRuns.load(std::memory_order_relaxed);
-        out.stagedMutationRuns +=
-            w.stagedRuns.load(std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lock(w.ingestMutex);
             out.ingest.merge(w.ingest);
-            // Trailing Workers are writer-lane scratch: break their
-            // ingest numbers out separately so the combining economy
-            // (rows fetched vs the serial controller) is visible.
-            if (wi >= workerCount)
-                out.writerIngest.merge(w.ingest);
         }
         out.fanoutLookups +=
             w.fanoutLookups.load(std::memory_order_relaxed);
@@ -1628,12 +1298,6 @@ ParallelSearchEngine::report() const
         out.fanoutSerialFallbacks +=
             w.fanoutSerialFallbacks.load(std::memory_order_relaxed);
     }
-    out.writerRowFetches = out.writerIngest.rowFetches;
-    out.writerSerialRowFetches = out.writerIngest.serialRowFetches;
-    out.rowsCombined =
-        out.writerSerialRowFetches > out.writerRowFetches
-            ? out.writerSerialRowFetches - out.writerRowFetches
-            : 0;
     // `completed` before `wallEndNs`: each publish pushes its end
     // stamp before incrementing completed (publish()), so the
     // stamp read below covers every completion counted here and the
@@ -1667,26 +1331,20 @@ ParallelSearchEngine::report() const
     for (std::size_t p = 0; p < ports.size(); ++p) {
         core::Database &db = sys->database(static_cast<unsigned>(p));
         // Inline mode computes the bound live (the caller is the only
-        // execution authority); threaded engines read the snapshot
-        // from the last quiesced point -- the live computation walks
-        // non-atomic load statistics that lanes and maintenance steps
-        // mutate.
-        if (cfg.workers == 0) {
+        // executing thread); threaded engines read the snapshot from
+        // the last quiesced point -- the live computation walks
+        // non-atomic load statistics the owning workers mutate.
+        if (cfg.workers == 0)
             out.analyticBoundMsps += db.searchBandwidthMsps(cfg.timing);
-            out.prefilterProbes += db.slice().prefilterProbes();
-            out.prefilterSkips += db.slice().prefilterSkips();
-            if (core::CaRamSlice *ov = db.overflowSlice()) {
-                out.prefilterProbes += ov->prefilterProbes();
-                out.prefilterSkips += ov->prefilterSkips();
-            }
-        } else {
+        else
             out.analyticBoundMsps +=
                 std::bit_cast<double>(ports[p]->analyticBoundBits.load(
                     std::memory_order_relaxed));
-            out.prefilterProbes += ports[p]->prefilterProbesSnap.load(
-                std::memory_order_relaxed);
-            out.prefilterSkips += ports[p]->prefilterSkipsSnap.load(
-                std::memory_order_relaxed);
+        out.prefilterProbes += db.slice().prefilterProbes();
+        out.prefilterSkips += db.slice().prefilterSkips();
+        if (const core::CaRamSlice *ov = db.overflowSlice()) {
+            out.prefilterProbes += ov->prefilterProbes();
+            out.prefilterSkips += ov->prefilterSkips();
         }
     }
     out.wallSeconds =
@@ -1699,7 +1357,6 @@ ParallelSearchEngine::report() const
         out.rowsMigrated = maintenance_->rowsMigrated();
         out.overflowCompacted = maintenance_->overflowCompacted();
         out.reachTrims = maintenance_->reachTrims();
-        out.tornMaintenanceSteps = maintenance_->tornSteps();
         out.maintenanceBackoffs = maintenance_->backoffs();
         out.amalBefore = maintenance_->amalBefore();
         out.amalAfter = maintenance_->amalAfter();

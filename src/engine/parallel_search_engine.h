@@ -44,14 +44,12 @@
  * bit-identical to the uncached engine on every stream, including
  * mixed mutation streams.
  *
- * EngineConfig::concurrentMutation routes mutations to dedicated
- * writer lanes (EngineConfig::writerLanes, port % lanes) so
- * independent ports' writes proceed in parallel with each other and
- * with every port's searches; EngineConfig::writerCombining lets a
- * lane absorb runs that arrive while their port is already mutating
- * into a per-port staging list and apply them as wider row-ordered
- * insertBatch calls -- one row fetch + one seqlock writer section per
- * distinct row -- still in exact submission order.
+ * One thread owns each table: the port's worker executes every request
+ * of that port -- searches, inserts, erases, rebuilds and maintenance
+ * steps -- in submission order, so independent ports proceed in
+ * parallel on their own workers while no table is ever read or
+ * written by two threads at once (the shared-nothing arrangement of
+ * the paper's section 3.4, where each slice answers its own queue).
  *
  * EngineConfig::rowFanoutMin additionally enables *intra-lookup*
  * parallelism: a lookup whose ternary key duplicates across many home
@@ -80,7 +78,6 @@
 #include "engine/result_cache.h"
 #include "mem/timing.h"
 #include "sim/concurrent_queue.h"
-#include "sim/epoch.h"
 
 namespace caram::engine {
 
@@ -157,57 +154,6 @@ struct EngineConfig
     unsigned rowFanoutMaxShards = 8;
 
     /**
-     * Non-blocking mutations: route every Insert/Erase/Rebuild run to a
-     * dedicated writer thread instead of executing it on the
-     * port-owning worker.  The worker keeps serving its other ports'
-     * Search runs while the mutation is in flight; the mutating port's
-     * own requests are deferred (per-port FIFO response order is
-     * preserved exactly) until the writer finishes and rings the owner.
-     * Rebuilds route through Database::rebuildSwap() under the engine's
-     * epoch domain, so peek() readers are never stalled and never
-     * observe a half-repacked slice.  Result streams stay bit-identical
-     * to the blocking path -- only *when* the work runs changes, not
-     * what it computes.  On by default since the PR 6 bench gate
-     * soaked (mixed 90/10 search throughput within 10% of read-only);
-     * set false to select the old blocking in-run path.  Ignored in
-     * inline mode (workers == 0), which is serial by construction.
-     */
-    bool concurrentMutation = true;
-
-    /**
-     * Port-sharded writer lanes: the number of dedicated writer
-     * threads mutations are spread across under concurrentMutation.
-     * Ports map to lanes by the same modulo hash that maps ports to
-     * workers (port % lanes), so one port's mutations always execute
-     * on one lane -- per-port FIFO and the busy-flag/doorbell hand-off
-     * protocol are untouched -- while independent ports' mutations no
-     * longer serialize on a single writer thread.  0 (the default)
-     * defers to the CARAM_WRITER_LANES environment variable, re-read
-     * at each engine's construction like CARAM_ROW_FANOUT_MIN (see
-     * resolvedWriterLanes()); unset resolves to 1, the PR 6 single
-     * writer lane.  Clamped to [1, 16]; ignored when
-     * concurrentMutation is off or in inline mode.
-     */
-    unsigned writerLanes = 0;
-
-    /**
-     * Writer-lane combining: while a port's mutation run executes on
-     * its writer lane, further mutation runs arriving for that port
-     * are appended to a per-port staging list instead of a new queue
-     * hand-off; the lane drains the staging before releasing the port
-     * and concatenates consecutive same-op jobs into wider
-     * Database::insertBatch calls, so same-row mutations cost one row
-     * fetch + one seqlock writer section per *distinct* row
-     * (insertBatch's simulate-then-apply machinery).  Submission order
-     * is preserved exactly -- staged runs execute on the same lane, in
-     * arrival order, before any later request of the port -- so the
-     * stored table and the response stream stay bit-identical to
-     * serial execution.  The row-op economy is surfaced in the
-     * report's writerIngest/rowsCombined fields.
-     */
-    bool writerCombining = true;
-
-    /**
      * Hot-key result cache: total entry budget of the front-side
      * ResultCache (see result_cache.h).  A Search whose exact key
      * (value, care, width) was answered since the last mutation that
@@ -234,8 +180,8 @@ struct EngineConfig
      * engine sets Database::setPrefilterEnabled on every port database
      * at construction, so guaranteed-miss row fetches are skipped
      * before they charge modeled cycles.  Result payloads and the
-     * non-skipped access accounting stay bit-identical; rebuildSwap()
-     * carries the flag onto replacement slices.  nullopt (the default)
+     * non-skipped access accounting stay bit-identical.  nullopt (the
+     * default)
      * defers to the CARAM_PREFILTER environment variable (0/1, re-read
      * at each engine's construction like CARAM_ROW_FANOUT_MIN -- see
      * resolvedPrefilter()); an explicit value always wins, so `false`
@@ -249,14 +195,13 @@ struct EngineConfig
      * migrating spilled records toward their home buckets as erase
      * holes open, trimming hollowed-out overflow reaches, and adopting
      * overflow-slice records back into the main table -- while
-     * searches and the writer lanes keep running.  Every step rides
-     * the existing mutation machinery (submitted as an internal
-     * request to the port's writer lane, reclaimed through the epoch
-     * domain, invalidating only the dirtied cache regions), so result
-     * streams stay bit-identical to a maintenance-free engine for
-     * keyed (unique fully-specified key) tables; see DESIGN.md
-     * section 4f for the interference-arbitration budget and the
-     * migration protocol.  nullopt (the default) defers to the
+     * foreground traffic keeps running.  Every step is an internal
+     * request in the owning worker's queue, executed between that
+     * port's requests and invalidating only the dirtied cache regions,
+     * so result streams stay bit-identical to a maintenance-free
+     * engine for keyed (unique fully-specified key) tables; see
+     * DESIGN.md section 4f for the interference-arbitration budget and
+     * the one-step migration.  nullopt (the default) defers to the
      * CARAM_MAINTENANCE environment variable (0/1, re-read at each
      * engine's construction like CARAM_ROW_FANOUT_MIN -- see
      * resolvedMaintenance()); an explicit value always wins, so
@@ -269,19 +214,15 @@ struct EngineConfig
 
 /**
  * Per-port instrumentation.  The counters are atomic because they are
- * written from the producer (`submitted`), the port's executing thread
- * (its owning worker, or the writer lane under
- * EngineConfig::concurrentMutation) and read live by report()/
- * portStats() -- reading them mid-run is race-free and each value is
- * individually consistent.  Executing threads publish their finished
- * responses once per popped batch, so `completed` advances by whole
- * runs of a port's requests, and every response it counts is already
- * in the port's result stream (fetchResult() returns it).  The
- * latency/AMAL aggregates below the counters are NOT atomic: they have
- * exactly one writer at a time (the owner, or the writer lane while
- * the port is handed off -- the two are serialized by the hand-off
- * itself, and the owner publishes before it hands off), and they are
- * only meaningful once the engine is drained.
+ * written from the producer (`submitted`) and the port's owning worker,
+ * and read live by report()/portStats() -- reading them mid-run is
+ * race-free and each value is individually consistent.  The owner
+ * publishes its finished responses once per popped batch, so
+ * `completed` advances by whole runs of a port's requests, and every
+ * response it counts is already in the port's result stream
+ * (fetchResult() returns it).  The latency/AMAL aggregates below the
+ * counters are NOT atomic: the owner is their only writer, and they
+ * are only meaningful once the engine is drained.
  */
 struct PortStats
 {
@@ -323,9 +264,9 @@ struct EngineReport
     /** Sum of Database::searchBandwidthMsps over the served ports.
      *  Sampled at quiesced points (construction, drain(), stop()) --
      *  not live -- because the bound reads non-atomic load statistics
-     *  that writer lanes and maintenance steps mutate; report() itself
-     *  stays safe to call any time.  Inline engines (workers == 0)
-     *  compute it live: the caller is the only execution authority. */
+     *  that the owning workers mutate; report() itself stays safe to
+     *  call any time.  Inline engines (workers == 0) compute it live:
+     *  the caller is the only executing thread. */
     double analyticBoundMsps = 0.0;
     /** Host wall-clock throughput (start() .. drain()), Msps. */
     double wallMsps = 0.0;
@@ -338,23 +279,11 @@ struct EngineReport
     uint64_t batchedInsertRuns = 0;
     /** Merged row-op accounting of every batched insert run. */
     core::InsertBatchSummary ingest;
-    /** Writer lanes serving mutations (0 = blocking/inline path). */
-    unsigned writerLanes = 0;
-    /** Mutation runs appended to a busy port's staging list instead
-     *  of a fresh queue hand-off (writer combining). */
-    uint64_t stagedMutationRuns = 0;
-    /** Row-op accounting of the writer lanes' insert batches only (a
-     *  subset of `ingest`): combining widens these batches, so
-     *  rowFetches here measures the combined write path. */
+    /** Always zero; kept for the benchmark until ROADMAP item 9. */
     core::InsertBatchSummary writerIngest;
-    /** writerIngest.rowFetches -- rows the writer lanes actually
-     *  fetched, after same-row combining. */
-    uint64_t writerRowFetches = 0;
-    /** Rows a record-at-a-time writer would have fetched for the same
-     *  inserts (writerIngest.serialRowFetches). */
+    /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t writerSerialRowFetches = 0;
-    /** Row fetches combining saved the writer lanes
-     *  (writerSerialRowFetches - writerRowFetches). */
+    /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t rowsCombined = 0;
     /** Lookups routed through the intra-lookup row fan-out. */
     uint64_t fanoutLookups = 0;
@@ -376,16 +305,13 @@ struct EngineReport
     /** Cache invalidations served by the precise region path. */
     uint64_t cacheRegionInvalidations = 0;
     /** Rows the pre-filter was consulted for, summed over the served
-     *  databases (main + overflow slices).  Like analyticBoundMsps,
-     *  threaded engines sample these two counters at quiesced points
-     *  (construction, drain(), stop()): they live on the slice object,
-     *  which a lane-executed rebuild replaces.  Inline engines read
-     *  them live. */
+     *  databases (main + overflow slices); read live from the slices'
+     *  atomic counters. */
     uint64_t prefilterProbes = 0;
     /** Consulted rows the filter proved unable to match -- fetches
      *  (and their modeled cycles) that were never issued. */
     uint64_t prefilterSkips = 0;
-    /** Maintenance steps executed on the writer lanes (0 when
+    /** Maintenance steps the owning workers executed (0 when
      *  EngineConfig::maintenance is off). */
     uint64_t maintenanceSteps = 0;
     /** Full table sweeps the maintenance engine completed. */
@@ -398,10 +324,6 @@ struct EngineReport
     /** Hollowed-out overflow reaches trimmed (probe distances no
      *  longer walked by lookups). */
     uint64_t reachTrims = 0;
-    /** Migration steps the tear-injection hook interrupted mid-step
-     *  (completed by a later step; readers saw a full copy
-     *  throughout). */
-    uint64_t tornMaintenanceSteps = 0;
     /** Steps the planner withheld because foreground queue depth
      *  exceeded the arbitration backoff threshold. */
     uint64_t maintenanceBackoffs = 0;
@@ -490,21 +412,6 @@ class ParallelSearchEngine
     /** Pop the next result of @p port (per-port FIFO order). */
     std::optional<core::PortResponse> fetchResult(unsigned port);
 
-    /**
-     * Out-of-band wait-free lookup against @p port's live table from
-     * any thread, without queueing a request: the caller's answer to
-     * "is this key searchable right now?" while the engine (and, under
-     * EngineConfig::concurrentMutation, the writer lane) keeps running.
-     * Reads travel the seqlock'd row-snapshot path
-     * (Database::searchConcurrent) under the engine's epoch domain, so
-     * a concurrent insert/erase/rebuildSwap can never tear the read or
-     * free the slice mid-lookup.  Probing databases only (fatal
-     * otherwise); returns a miss while the database is in retention.
-     * No engine or slice counters are advanced and no response is
-     * queued -- peek() is invisible to stats and FIFO streams.
-     */
-    core::SearchResult peek(unsigned port, const Key &key) const;
-
     const PortStats &portStats(unsigned port) const;
 
     /** The fan-out threshold this engine resolved at construction
@@ -528,25 +435,8 @@ class ParallelSearchEngine
      *  false in inline mode). */
     bool resolvedMaintenance() const { return maintenance_ != nullptr; }
 
-    /** True when mutations route through the writer lanes (the config
-     *  flag after the inline-mode override -- workers == 0 forces the
-     *  serial path regardless of the default). */
-    bool concurrentMutationActive() const
-    {
-        return cfg.concurrentMutation;
-    }
-
-    /** The writer-lane count this engine resolved at construction
-     *  (config value, or CARAM_WRITER_LANES read at that moment;
-     *  0 when mutations do not route through writer lanes). */
-    unsigned resolvedWriterLanes() const { return writerLaneCount_; }
-
-    /** Writer lane that serves @p port's mutations (lanes active
-     *  only). */
-    unsigned laneOf(unsigned port) const
-    {
-        return port % writerLaneCount_;
-    }
+    /** Always 0; kept for the benchmark until ROADMAP item 9. */
+    unsigned resolvedWriterLanes() const { return 0; }
 
     /** Aggregate throughput/latency accounting for the run so far. */
     EngineReport report() const;
@@ -562,24 +452,13 @@ class ParallelSearchEngine
 
     struct Job;
     struct FanoutTask;
-    struct MutationRun;
 
     void workerMain(unsigned index);
-    /** Writer-lane thread body (concurrentMutation only). */
-    void writerMain(unsigned lane);
-    /** Re-dispatch deferred jobs of @p index's ports whose writer-lane
-     *  hand-off has completed.  Returns true when any job ran. */
-    bool drainPending(unsigned index);
-    /** Recompute each port's cached analytic search-bandwidth bound
-     *  and pre-filter probe/skip totals.  Only callable while no
-     *  execution thread can be mutating the databases (construction,
-     *  the drained window inside drain(), after stop()'s joins): the
-     *  bound reads non-atomic slice load statistics, and the counters
-     *  live on slice objects that rebuilds replace. */
+    /** Recompute each port's cached analytic search-bandwidth bound.
+     *  Only callable while no worker can be mutating the databases
+     *  (construction, the drained window inside drain(), after stop()'s
+     *  joins): the bound reads non-atomic slice load statistics. */
     void refreshAnalyticBounds();
-    /** True when some port of @p index has deferred jobs ready to run
-     *  (hand-off finished). */
-    bool pendingReady(unsigned index) const;
     /** Run one popped batch through the run-extension loop. */
     void processJobs(const std::vector<Job> &batch, unsigned index);
     void execute(const core::PortRequest &request,
@@ -625,8 +504,8 @@ class ParallelSearchEngine
     /** Invalidate @p port's cached entries after a mutation run
      *  executed: region-granular when the mutation's dirty-row mask
      *  allows it, whole-port otherwise (@p wholePort, used by Rebuild
-     *  and bulk loads).  The port's own requests are serialized by the
-     *  busy-flag hand-off, so bumping after the mutation is safe: no
+     *  and bulk loads).  The owning worker executes the port's requests
+     *  one after another, so bumping after the mutation is safe: no
      *  probe of this port can run in between. */
     void invalidateCache(unsigned port, bool wholePort);
     /** Buffer one finished response on the executing thread until its
@@ -639,8 +518,7 @@ class ParallelSearchEngine
      * release-add; per call, one clock read, one end-stamp update and
      * one `inflight` subtraction covering every request executed since
      * the last publish (maintenance steps included).  Called once per
-     * popped batch, before every writer-lane hand-off, and after each
-     * inline request.
+     * popped batch and after each inline request.
      */
     void publish(Worker &self);
     /** Retire @p n in-flight requests (waking drain() at zero). */
@@ -666,28 +544,14 @@ class ParallelSearchEngine
     std::unique_ptr<ResultCache> resultCache_;
     /** Shared shard sub-task queue the workers steal from. */
     std::unique_ptr<sim::ConcurrentBoundedQueue<FanoutTask>> fanoutTasks;
-    /** Resolved writer-lane count (config, or CARAM_WRITER_LANES);
-     *  0 when mutations do not route through writer lanes. */
-    unsigned writerLaneCount_ = 0;
-    /** Per-lane hand-off queues (concurrentMutation only). */
-    std::vector<std::unique_ptr<sim::ConcurrentBoundedQueue<MutationRun>>>
-        writerQueues;
     std::vector<std::unique_ptr<PortState>> ports;
-    /** One per worker thread, plus one trailing scratch set per writer
-     *  lane when concurrentMutation is on (indices workerCount ..
-     *  workerCount + lanes - 1). */
+    /** One per worker thread (one in inline mode). */
     std::vector<std::unique_ptr<Worker>> workers;
     std::vector<std::thread> threads;
-    std::vector<std::thread> writerThreads;
-    /** Grace-period domain for rebuildSwap() retirements; peek()
-     *  readers pin it for the duration of their lookup (mutable: a
-     *  read-side pin mutates only the domain's bookkeeping, never the
-     *  engine). */
-    mutable sim::EpochDomain epochDomain_;
     /** Background maintenance (null = off; see
      *  EngineConfig::maintenance).  Its planner thread paces
      *  submitMaintenanceStep(); the steps themselves execute on the
-     *  writer lanes like any other mutation. */
+     *  port's owning worker like any other request. */
     std::unique_ptr<MaintenanceEngine> maintenance_;
     bool running = false;
     /** Atomic: producers on any thread read it while stop() sets it. */

@@ -56,8 +56,7 @@ hashKey(const Key &key)
 }
 
 /** Relaxed word store/load; the entry seqlock (with its fences) is
- *  what orders payload access, exactly like MemoryArray's row words
- *  under CaRamSlice's row seqlocks. */
+ *  what orders payload access. */
 void
 storeWord(uint64_t &word, uint64_t v)
 {
@@ -132,9 +131,9 @@ ResultCache::invalidate(unsigned port)
     // Release: the bump is published before the caller starts mutating
     // the table, so a thread that still reads the old generation is
     // guaranteed to also still see the old (valid) table.  (The
-    // engine's writer lane bumps *after* mutating instead; there the
-    // per-port busy-flag hand-off serializes the port's requests, so
-    // no probe of that port can race the mutation at all.)
+    // engine bumps *after* mutating instead; there the port's owning
+    // worker executes its requests one at a time, so no probe of that
+    // port can race the mutation at all.)
     generations_[port].value.fetch_add(1, std::memory_order_release);
     wholePortInvalidations_.fetch_add(1, std::memory_order_relaxed);
 }

@@ -32,8 +32,7 @@
  * mask is 0 is stamped with the port counter alone -- bit-identical to
  * the original whole-port protocol (see DESIGN.md §4d).
  *
- * Entries are protected by per-entry seqlocks with the same fence
- * discipline as CaRamSlice's row seqlocks: a writer claims the entry
+ * Entries are protected by per-entry seqlocks: a writer claims the entry
  * with a CAS from an even sequence (fill is best-effort -- a lost race
  * skips the fill rather than waiting), publishes the payload words with
  * relaxed std::atomic_ref stores between a release fence and a release

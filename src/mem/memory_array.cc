@@ -1,7 +1,6 @@
 #include "mem/memory_array.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 
 #include "common/bitops.h"
@@ -9,23 +8,6 @@
 #include "common/strings.h"
 
 namespace caram::mem {
-
-namespace {
-
-// All mutations store through word-granular relaxed atomics so that
-// cross-thread row snapshots (snapshotRowInto) are race-free under the
-// slice's seqlock protocol.  On x86 a relaxed atomic store compiles to
-// the same plain mov the old code emitted; ordering against the row
-// sequence numbers is provided by fences at the seqlock layer, not
-// here.  Loads on the owning (writer) thread stay plain: nothing else
-// ever stores to the array, so they race with nothing.
-inline void
-storeRelaxed(uint64_t &word, uint64_t value)
-{
-    std::atomic_ref<uint64_t>(word).store(value, std::memory_order_relaxed);
-}
-
-} // namespace
 
 MemoryArray::MemoryArray(uint64_t rows, uint64_t row_bits)
     : numRows(rows), bitsPerRow(row_bits), rowWords(ceilDiv(row_bits, 64))
@@ -74,12 +56,11 @@ MemoryArray::writeBits(uint64_t row, uint64_t lo, unsigned len, uint64_t value)
     uint64_t *base = storage.data() + row * rowWords;
     const uint64_t word = lo / 64;
     const unsigned off = static_cast<unsigned>(lo % 64);
-    storeRelaxed(base[word],
-                 (base[word] & ~(maskBits(len) << off)) | (value << off));
+    base[word] = (base[word] & ~(maskBits(len) << off)) | (value << off);
     if (off + len > 64) {
         const unsigned hi_len = off + len - 64;
-        storeRelaxed(base[word + 1], (base[word + 1] & ~maskBits(hi_len)) |
-                                         (value >> (64 - off)));
+        base[word + 1] = (base[word + 1] & ~maskBits(hi_len)) |
+                         (value >> (64 - off));
     }
 }
 
@@ -87,16 +68,13 @@ void
 MemoryArray::clearRow(uint64_t row)
 {
     checkRow(row);
-    uint64_t *base = storage.data() + row * rowWords;
-    for (uint64_t w = 0; w < rowWords; ++w)
-        storeRelaxed(base[w], 0);
+    std::fill_n(storage.data() + row * rowWords, rowWords, 0);
 }
 
 void
 MemoryArray::clearAll()
 {
-    for (uint64_t &word : storage)
-        storeRelaxed(word, 0);
+    std::fill(storage.begin(), storage.end(), 0);
 }
 
 std::span<const uint64_t>
@@ -112,21 +90,7 @@ MemoryArray::writeRow(uint64_t row, std::span<const uint64_t> src)
     checkRow(row);
     if (src.size() != rowWords)
         fatal("writeRow source size mismatch");
-    uint64_t *base = storage.data() + row * rowWords;
-    for (uint64_t w = 0; w < rowWords; ++w)
-        storeRelaxed(base[w], src[w]);
-}
-
-void
-MemoryArray::snapshotRowInto(uint64_t row, uint64_t *dst) const
-{
-    checkRow(row);
-    // const_cast: atomic_ref<const T> only lands in C++26; the loads
-    // themselves never mutate.
-    uint64_t *base = const_cast<uint64_t *>(storage.data()) + row * rowWords;
-    for (uint64_t w = 0; w < rowWords; ++w)
-        dst[w] = std::atomic_ref<uint64_t>(base[w]).load(
-            std::memory_order_relaxed);
+    std::copy(src.begin(), src.end(), storage.data() + row * rowWords);
 }
 
 uint64_t
@@ -142,7 +106,7 @@ MemoryArray::storeWord(uint64_t word_addr, uint64_t value)
 {
     if (word_addr >= wordCount())
         fatal("RAM-mode store out of range");
-    storeRelaxed(storage[word_addr], value);
+    storage[word_addr] = value;
 }
 
 } // namespace caram::mem

@@ -79,7 +79,7 @@ class MemoryArray
         return storage.data() + row * rowWords;
     }
 
-    /** Mutable row pointer -- snapshot destinations (scratch arrays). */
+    /** Mutable row pointer (tests that plant raw row contents). */
     uint64_t *
     rowData(uint64_t row)
     {
@@ -89,17 +89,6 @@ class MemoryArray
 
     /** Copy @p src (rowWords words) into @p row. */
     void writeRow(uint64_t row, std::span<const uint64_t> src);
-
-    /**
-     * Copy the packed words of @p row into @p dst (rowWords words)
-     * with per-word atomic loads.  This is the only row read that is
-     * safe against a concurrent writer on another thread: all array
-     * mutations go through per-word atomic stores, so a snapshot never
-     * constitutes a data race.  Word-level tearing across the row is
-     * still possible -- callers that need a consistent row validate the
-     * snapshot with the slice's row sequence lock.
-     */
-    void snapshotRowInto(uint64_t row, uint64_t *dst) const;
 
     /**
      * RAM-mode linear access: the array viewed as rows*rowWords 64-bit

@@ -1,23 +1,22 @@
 /**
  * @file
- * Randomized differential harness for the engine's concurrent-mutation
- * mode (EngineConfig::concurrentMutation): mixed Search/Insert/Erase/
- * Rebuild streams run through a multi-worker engine with the writer
- * lane enabled, against the strictly serial subsystem oracle executing
- * the identical stream in submission order.
+ * Randomized differential harness for mutations in the threaded engine:
+ * mixed Search/Insert/Erase/Rebuild streams run through a multi-worker
+ * engine, where each port's owning worker executes its mutations in
+ * place while other workers keep serving their own ports, against the
+ * strictly serial subsystem oracle executing the identical stream in
+ * submission order.
  *
- * The contract under test: hand-off to the writer lane changes *when*
- * a mutation executes relative to other ports' traffic, never what any
- * request computes or the order a port's own responses come back in.
- * So for every port, the engine's FIFO response stream must equal the
- * oracle's port-filtered subsequence field for field (tag, ok, hit,
- * data, key, bucketsAccessed), and the final tables must agree on
- * every key the stream ever touched.  Swept over worker counts x batch
- * widths x key spaces (binary probing and ternary multi-home with row
- * fan-out forced on, so shard stealing interleaves with hand-offs) x
- * writer-lane counts x combining on/off (staged runs drained by a
- * checked-out lane must execute in FIFO position).
- * ci_tsan.sh runs this suite under TSan.
+ * The contract under test: running ports on different workers changes
+ * *when* a mutation executes relative to other ports' traffic, never
+ * what any request computes or the order a port's own responses come
+ * back in.  So for every port, the engine's FIFO response stream must
+ * equal the oracle's port-filtered subsequence field for field (tag,
+ * ok, hit, data, key, bucketsAccessed), and the final tables must
+ * agree on every key the stream ever touched.  Swept over worker
+ * counts x batch widths x key spaces (binary probing, and ternary
+ * multi-home with row fan-out forced on, so shard stealing interleaves
+ * with the owners' mutations).  ci_tsan.sh runs this suite under TSan.
  */
 
 #include <cstdlib>
@@ -202,14 +201,12 @@ expectSameResponse(const PortResponse &got, const PortResponse &want,
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
                 std::size_t batch_size, unsigned fanout_min,
-                uint64_t seed, unsigned writer_lanes = 0,
-                bool combining = true)
+                uint64_t seed)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
                  << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " lanes " << writer_lanes
-                 << " combining " << combining << " seed " << seed);
+                 << fanout_min << " seed " << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -220,10 +217,7 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     EngineConfig cfg;
     cfg.workers = workers;
     cfg.batchSize = batch_size;
-    cfg.concurrentMutation = true;
     cfg.rowFanoutMin = fanout_min;
-    cfg.writerLanes = writer_lanes;
-    cfg.writerCombining = combining;
     // This harness compares bucketsAccessed bit for bit against the
     // serial oracle, which background migration legitimately changes:
     // pin maintenance off (explicit config always beats the
@@ -289,58 +283,19 @@ TEST(ConcurrentMutationDifferential, BinaryFourWorkersBatched)
     runDifferential(binaryVariant(), 6, 4, 8, 0, 0xc0ffee04);
 }
 
-TEST(ConcurrentMutationDifferential, TernaryFanoutPlusWriterLane)
+TEST(ConcurrentMutationDifferential, TernaryFanoutBatched)
 {
     // Row fan-out forced down to 2 homes: shard stealing, batched runs
-    // and writer-lane hand-offs all interleave in one stream.
+    // and the owners' in-place mutations all interleave in one stream.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xc0ffee05);
 }
 
 TEST(ConcurrentMutationDifferential, MorePortsThanWorkers)
 {
     // Port count far above worker count: each worker owns several
-    // ports, so a busy port's deferrals must interleave with its
-    // siblings' runs on the same thread.
+    // ports, so one port's mutations interleave with its siblings'
+    // runs on the same thread.
     runDifferential(binaryVariant(), 9, 2, 4, 0, 0xc0ffee06);
-}
-
-// ---------------------------------------------------------------------
-// Writer-lane sharding x combining matrix.  Lanes spread ports across
-// independent writer threads (port % lanes); combining lets owners
-// stage follow-up mutation runs onto a checked-out port and the lane
-// drain whole backlogs as single bulk ingests.  Neither may perturb a
-// single response or the final tables.
-
-TEST(ConcurrentMutationDifferential, BinaryTwoLanesBatched)
-{
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xc0ffee07, 2, true);
-}
-
-TEST(ConcurrentMutationDifferential, BinaryTwoLanesSerialNoCombining)
-{
-    runDifferential(binaryVariant(), 6, 4, 1, 0, 0xc0ffee08, 2, false);
-}
-
-TEST(ConcurrentMutationDifferential, BinaryFourLanesBatched)
-{
-    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xc0ffee09, 4, true);
-}
-
-TEST(ConcurrentMutationDifferential, BinaryFourLanesNoCombining)
-{
-    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xc0ffee0a, 4, false);
-}
-
-TEST(ConcurrentMutationDifferential, TernaryFanoutFourLanesCombining)
-{
-    // The full interleaving: shard stealing, batched runs, four writer
-    // lanes and staged combining in one ternary stream.
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xc0ffee0b, 4, true);
-}
-
-TEST(ConcurrentMutationDifferential, TernaryFanoutTwoLanesNoCombining)
-{
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xc0ffee0c, 2, false);
 }
 
 } // namespace

@@ -26,20 +26,16 @@
  * The online suite below the differential pins the individual
  * maintenance actions deterministically: AMAL recovery to within 5%
  * of a fresh rebuild() with zero drains, overflow adoption emptying a
- * victim slice, reach trimming after tail erases, torn-migration
- * fault injection (CARAM_SEQLOCK_TEAR hook interrupting phase 2
- * mid-step) with the transient duplicate provably retired, and cache
- * survival of hot keys while maintenance compacts cold rows.
- * ci_tsan.sh runs this suite under TSan; ci_build_matrix.sh leg 8
+ * victim slice, reach trimming after tail erases, and cache survival
+ * of hot keys while maintenance compacts cold rows.
+ * ci_tsan.sh runs this suite under TSan; ci_build_matrix.sh leg 6
  * reruns the whole test suite with CARAM_MAINTENANCE=1.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdlib>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -294,16 +290,13 @@ awaitReport(ParallelSearchEngine &eng, Pred predicate,
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
                 std::size_t batch_size, unsigned fanout_min,
-                uint64_t seed, unsigned writer_lanes = 0,
-                bool combining = true,
-                std::size_t cache_entries = 0)
+                uint64_t seed, std::size_t cache_entries = 0)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
                  << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " lanes " << writer_lanes
-                 << " combining " << combining << " cache "
-                 << cache_entries << " seed " << seed);
+                 << fanout_min << " cache " << cache_entries << " seed "
+                 << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -325,10 +318,7 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     EngineConfig cfg;
     cfg.workers = workers;
     cfg.batchSize = batch_size;
-    cfg.concurrentMutation = true;
     cfg.rowFanoutMin = fanout_min;
-    cfg.writerLanes = writer_lanes;
-    cfg.writerCombining = combining;
     cfg.maintenance = true;
     if (cache_entries > 0)
         cfg.resultCacheEntries = cache_entries;
@@ -392,22 +382,11 @@ TEST(MaintenanceDifferential, BinaryFourWorkersBatched)
     runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd02);
 }
 
-TEST(MaintenanceDifferential, BinaryTwoLanesBatched)
-{
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd03, 2, true);
-}
-
-TEST(MaintenanceDifferential, BinaryFourLanesNoCombining)
-{
-    runDifferential(binaryVariant(), 9, 4, 8, 0, 0xadd04, 4, false);
-}
-
-TEST(MaintenanceDifferential, BinaryLanesPlusResultCache)
+TEST(MaintenanceDifferential, BinaryResultCache)
 {
     // Steps invalidate only the regions they dirty; cached hot keys
     // must still never replay a stale answer.
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd05, 2, true,
-                    2048);
+    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xadd05, 2048);
 }
 
 TEST(MaintenanceDifferential, TernaryFanoutTrimOnly)
@@ -418,19 +397,14 @@ TEST(MaintenanceDifferential, TernaryFanoutTrimOnly)
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xadd06);
 }
 
-TEST(MaintenanceDifferential, TernaryFanoutFourLanesCombining)
-{
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, 0xadd07, 4, true);
-}
-
 TEST(MaintenanceDifferential, LpmTwoWorkersBatched)
 {
     runDifferential(lpmVariant(), 4, 2, 8, 0, 0xadd08);
 }
 
-TEST(MaintenanceDifferential, LpmTwoLanesResultCache)
+TEST(MaintenanceDifferential, LpmResultCache)
 {
-    runDifferential(lpmVariant(), 6, 4, 8, 0, 0xadd09, 2, true, 2048);
+    runDifferential(lpmVariant(), 6, 4, 8, 0, 0xadd09, 2048);
 }
 
 // ---------------------------------------------------------------------
@@ -640,186 +614,6 @@ TEST(MaintenanceOnline, TrimsHollowedReachAfterTailErases)
         const auto r5 = db.search(bucketKey(5, s + 1));
         ASSERT_TRUE(r5.hit) << s;
         EXPECT_EQ(r5.data, dataFor(bucketKey(5, s + 1)));
-    }
-}
-
-TEST(MaintenanceOnline, TornMigrationNeverExposesHalfMigratedRecords)
-{
-    // CARAM_SEQLOCK_TEAR hook armed at 2: every second migration is
-    // interrupted after phase 1 (both copies live, far copy pending).
-    // Readers racing the sweep must see exactly the full record set;
-    // the interrupted steps must be retried to completion by the time
-    // the engine stops.
-    auto sys = std::make_unique<CaRamSubsystem>(1024, 1024, true);
-    auto &db = sys->addDatabase(lowBitsConfig("torn", 16));
-    const std::vector<Key> live = skewedChurn(db, 12, 6);
-    db.slice().setTornReadInjection(2);
-
-    EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.maintenance = true;
-    ParallelSearchEngine eng(*sys, cfg);
-    eng.start();
-
-    // Out-of-band readers hammer the live keys while migrations tear.
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> failures{0};
-    std::thread reader([&] {
-        Rng rng(0x7ea5);
-        while (!done.load(std::memory_order_acquire)) {
-            const Key &k = live[rng.below(live.size())];
-            const auto r = eng.peek(0, k);
-            if (!r.hit || r.data != dataFor(k))
-                failures.fetch_add(1, std::memory_order_relaxed);
-        }
-    });
-    const bool progressed = awaitReport(
-        eng,
-        [](const EngineReport &r) {
-            return r.tornMaintenanceSteps >= 2 &&
-                   r.maintenanceSweeps >= 2;
-        },
-        10000);
-    done.store(true, std::memory_order_release);
-    reader.join();
-    eng.stop();
-    ASSERT_TRUE(progressed) << "tear injection never fired";
-
-    EXPECT_EQ(failures.load(), 0u);
-    const EngineReport rep = eng.report();
-    EXPECT_GT(rep.tornMaintenanceSteps, 0u);
-    EXPECT_GT(rep.rowsMigrated, 0u);
-    // Every pending far copy was retired: exact live count, no
-    // duplicates, structure intact.
-    EXPECT_EQ(db.size(), live.size());
-    db.slice().checkIntegrity();
-    for (const Key &k : live)
-        EXPECT_EQ(db.erase(k), 1u) << "duplicate or lost: "
-                                   << k.toString();
-    EXPECT_EQ(db.size(), 0u);
-}
-
-TEST(MaintenanceOnline, TornMigrationFlushesBeforeUserEraseAndRebuild)
-{
-    // Tear every migration (injection 1): each step parks a pending
-    // far copy.  A user Erase or Rebuild arriving on the port must
-    // flush the pending first -- otherwise the erase would remove and
-    // count two copies, and the rebuild would repack the duplicate
-    // into two live records.  Run a full churn stream against the
-    // serial oracle to prove neither ever happens.
-    auto oracle_sys = std::make_unique<CaRamSubsystem>(1024, 1024, true);
-    auto &odb = oracle_sys->addDatabase(lowBitsConfig("flush-o", 16));
-    auto subject_sys =
-        std::make_unique<CaRamSubsystem>(1024, 1024, true);
-    auto &sdb = subject_sys->addDatabase(lowBitsConfig("flush-s", 16));
-    const std::vector<Key> live_o = skewedChurn(odb, 12, 6);
-    const std::vector<Key> live = skewedChurn(sdb, 12, 6);
-    ASSERT_EQ(live.size(), live_o.size());
-    sdb.slice().setTornReadInjection(1);
-
-    // Churn that keeps regenerating migration work even across the
-    // stream's rebuilds: fresh inserts pile onto the three most
-    // crowded buckets (so spills keep reappearing), erases drain
-    // skewed survivors and fresh keys alike (so holes keep opening on
-    // exactly the rows the sweep migrates), and rebuilds land now and
-    // then to exercise the flush-before-Rebuild path.
-    Rng rng(0x10f5);
-    std::vector<PortRequest> stream;
-    uint64_t tag = 0;
-    std::size_t next_live = 0;
-    std::vector<Key> fresh_live;
-    unsigned fresh = 0;
-    for (int i = 0; i < 1500; ++i) {
-        PortRequest req;
-        req.port = 0;
-        req.tag = ++tag;
-        const double roll = rng.uniform();
-        if (roll < 0.10) {
-            req.op = PortOp::Insert;
-            req.key = bucketKey(static_cast<unsigned>(rng.below(3)),
-                                100 + fresh);
-            req.data = dataFor(req.key);
-            ++fresh;
-            fresh_live.push_back(req.key);
-        } else if (roll < 0.18 && !fresh_live.empty() &&
-                   rng.chance(0.6)) {
-            req.op = PortOp::Erase;
-            const std::size_t pick = rng.below(fresh_live.size());
-            req.key = fresh_live[pick];
-            fresh_live.erase(fresh_live.begin() +
-                             static_cast<std::ptrdiff_t>(pick));
-        } else if (roll < 0.18 && next_live < live.size()) {
-            req.op = PortOp::Erase;
-            req.key = live[next_live++];
-        } else if (roll < 0.20) {
-            req.op = PortOp::Rebuild;
-        } else {
-            req.op = PortOp::Search;
-            req.key = rng.chance(0.7) && !live.empty()
-                ? live[rng.below(live.size())]
-                : bucketKey(static_cast<unsigned>(rng.below(64)),
-                            1 + static_cast<unsigned>(rng.below(20)));
-        }
-        stream.push_back(std::move(req));
-    }
-    const auto want = serialOracle(*oracle_sys, stream);
-    // Placement differences (migration) must never flip an insert's
-    // outcome: verify the load stayed moderate enough that every
-    // oracle insert succeeded.
-    for (const PortResponse &r : want[0]) {
-        if (r.op == PortOp::Insert) {
-            ASSERT_TRUE(r.ok) << "oracle insert failed: lower the load";
-        }
-    }
-
-    EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.batchSize = 4;
-    cfg.maintenance = true;
-    ParallelSearchEngine eng(*subject_sys, cfg);
-    eng.start();
-    // Paced submission: keep in-flight depth below the planner's
-    // backoff threshold so maintenance steps (and their tear-parked
-    // pendings) interleave with the user stream instead of being
-    // withheld until the drain.
-    for (std::size_t at = 0; at < stream.size(); at += 64) {
-        const std::size_t n = std::min<std::size_t>(64,
-                                                    stream.size() - at);
-        ASSERT_EQ(eng.submitBatch(std::span<const PortRequest>(
-                      stream.data() + at, n)),
-                  n);
-        const uint64_t target = at + n >= 32 ? at + n - 32 : 0;
-        while (eng.report().completed < target)
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
-    }
-    eng.drain();
-    EXPECT_TRUE(awaitReport(
-        eng,
-        [](const EngineReport &r) { return r.tornMaintenanceSteps > 0; },
-        5000))
-        << "tear injection never fired";
-    eng.stop();
-
-    std::vector<PortResponse> got;
-    while (auto r = eng.fetchResult(0))
-        got.push_back(std::move(*r));
-    ASSERT_EQ(got.size(), want[0].size());
-    for (std::size_t i = 0; i < got.size(); ++i) {
-        expectSameAnswer(got[i], want[0][i], i);
-        if (::testing::Test::HasFatalFailure())
-            return;
-    }
-    ASSERT_EQ(sdb.size(), odb.size());
-    sdb.slice().checkIntegrity();
-    for (const PortRequest &req : stream) {
-        if (req.op == PortOp::Rebuild)
-            continue;
-        const auto a = sdb.search(req.key);
-        const auto b = odb.search(req.key);
-        ASSERT_EQ(a.hit, b.hit) << req.key.toString();
-        if (a.hit) {
-            ASSERT_EQ(a.data, b.data);
-        }
     }
 }
 

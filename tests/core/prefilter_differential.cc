@@ -13,27 +13,20 @@
  * subsequence field for field (tag, ok, hit, data, key,
  * bucketsAccessed -- the post-skip access count), across binary
  * probing, ternary multi-home with row fan-out forced on, and LPM
- * prefix tables, across worker counts x batch widths x
- * concurrent-mutation on/off.  A second differential pins the
+ * prefix tables, across worker counts x batch widths.  A second
+ * differential pins the
  * filtered engine's *payloads* (everything but bucketsAccessed)
  * against a fully unfiltered oracle -- skipping can remove modeled
  * fetches but may never change a verdict.
  *
  * Also here: slice-level counting-semantics tests (erase re-opens the
  * skip, RAM-mode stores suspend consultation until adoptRamContents()
- * rebuilds the filter), a filtered search-vs-searchConcurrent
- * differential, and a racing stable-key hammer where reader threads
- * run the validated concurrent consult against an insert/erase/
- * rebuildSwap churn -- a stale filter word may cost an extra fetch
- * but must never hide a visible key.  ci_tsan.sh runs this suite
- * under TSan.
+ * rebuilds the filter).  ci_tsan.sh runs this suite under TSan.
  */
 
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,12 +35,10 @@
 #include "core/subsystem.h"
 #include "engine/parallel_search_engine.h"
 #include "hash/bit_select.h"
-#include "sim/epoch.h"
 
 namespace caram::engine {
 namespace {
 
-using core::CaRamSlice;
 using core::CaRamSubsystem;
 using core::Database;
 using core::DatabaseConfig;
@@ -247,16 +238,12 @@ expectSameResponse(const PortResponse &got, const PortResponse &want,
 
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
-                std::size_t batch_size, unsigned fanout_min,
-                bool concurrent_mutation, uint64_t seed,
-                unsigned writer_lanes = 0, bool combining = true)
+                std::size_t batch_size, unsigned fanout_min, uint64_t seed)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
                  << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " writerLane " << concurrent_mutation
-                 << " lanes " << writer_lanes << " combining "
-                 << combining << " seed " << seed);
+                 << fanout_min << " seed " << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -268,9 +255,6 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     cfg.workers = workers;
     cfg.batchSize = batch_size;
     cfg.rowFanoutMin = fanout_min;
-    cfg.concurrentMutation = concurrent_mutation;
-    cfg.writerLanes = writer_lanes;
-    cfg.writerCombining = combining;
     cfg.prefilter = true;
     // bucketsAccessed is compared bit for bit against the serial
     // oracle; pin background maintenance off (explicit config beats
@@ -325,57 +309,26 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
 TEST(PrefilterDifferential, BinaryInlineMode)
 {
     // workers == 0: every path runs at submit time on this thread.
-    runDifferential(binaryVariant(), 4, 0, 1, 0, false, 0x9f117e01);
+    runDifferential(binaryVariant(), 4, 0, 1, 0, 0x9f117e01);
 }
 
 TEST(PrefilterDifferential, BinaryFourWorkersBatched)
 {
     // The grouped-probe batch path: whole groups skip shared rows.
-    runDifferential(binaryVariant(), 6, 4, 8, 0, false, 0x9f117e02);
+    runDifferential(binaryVariant(), 6, 4, 8, 0, 0x9f117e02);
 }
 
-TEST(PrefilterDifferential, BinaryWriterLane)
-{
-    // Mutations on the writer lane maintain the filter while other
-    // ports' searches consult it.
-    runDifferential(binaryVariant(), 4, 2, 4, 0, true, 0x9f117e03);
-}
-
-TEST(PrefilterDifferential, TernaryFanoutWriterLane)
+TEST(PrefilterDifferential, TernaryFanoutBatched)
 {
     // Fan-out forced down to 2 homes: shard pruning drops whole
-    // candidate homes before sub-tasks are enqueued.
-    runDifferential(ternaryVariant(), 4, 4, 8, 2, true, 0x9f117e04);
+    // candidate homes before sub-tasks are enqueued, while the owners'
+    // mutations maintain the filter between their ports' searches.
+    runDifferential(ternaryVariant(), 4, 4, 8, 2, 0x9f117e04);
 }
 
 TEST(PrefilterDifferential, LpmBatchedWorkers)
 {
-    runDifferential(lpmVariant(), 4, 2, 8, 0, false, 0x9f117e05);
-}
-
-TEST(PrefilterDifferential, LpmWriterLane)
-{
-    runDifferential(lpmVariant(), 5, 2, 4, 0, true, 0x9f117e06);
-}
-
-TEST(PrefilterDifferential, BinaryCombinedWriterSections)
-{
-    // Writer combining folds a drained insert backlog into one bulk
-    // ingest -- one seqlock writer section per distinct row.  The
-    // counting filter's per-row increments and decrements inside those
-    // combined sections must leave exactly the same counts as the
-    // serial per-request path, so skip decisions stay one-sided.
-    runDifferential(binaryVariant(), 6, 4, 8, 0, true, 0x9f117e07, 2,
-                    true);
-}
-
-TEST(PrefilterDifferential, TernaryFourLanesCombinedWriterSections)
-{
-    // Multi-home duplication under four lanes: combined sections write
-    // several filter rows per record, and lane sharding spreads ports
-    // across writer threads while searches consult the filter.
-    runDifferential(ternaryVariant(), 6, 4, 8, 2, true, 0x9f117e08, 4,
-                    true);
+    runDifferential(lpmVariant(), 4, 2, 8, 0, 0x9f117e05);
 }
 
 TEST(PrefilterDifferential, PayloadsMatchUnfilteredOracle)
@@ -500,145 +453,6 @@ TEST(PrefilterUnit, RamStoreSuspendsUntilAdopt)
     EXPECT_GT(db->slice().prefilterSkips(), skips1);
     for (const Key &k : keys)
         EXPECT_TRUE(db->slice().search(k).hit);
-}
-
-TEST(PrefilterUnit, FilteredConcurrentMatchesFilteredSerial)
-{
-    // Single-threaded: the validated concurrent consult never fails
-    // validation, so searchConcurrent must stay bit-identical to the
-    // filtered serial search -- bucketsAccessed included.
-    for (const Variant &v :
-         {binaryVariant(), ternaryVariant(), lpmVariant()}) {
-        SCOPED_TRACE(v.name);
-        auto db = buildDatabase(v, std::string(v.name) + "-conc");
-        db->setPrefilterEnabled(true);
-        Rng rng(0x9f117e08);
-        std::vector<Key> population;
-        CaRamSlice::ConcurrentSearchScratch scratch;
-        for (int op = 0; op < 1500; ++op) {
-            const double roll = rng.uniform();
-            if (roll < 0.3) {
-                const Key k = randomKey(rng, v, 0.97);
-                const int prio =
-                    v.lpm ? static_cast<int>(k.carePopcount()) : 0;
-                if (db->insert(Record{k, rng.below(1u << 16)}, prio))
-                    population.push_back(k);
-            } else if (roll < 0.4 && !population.empty()) {
-                db->erase(population[rng.below(population.size())]);
-            } else {
-                const Key k = !population.empty() && rng.chance(0.4)
-                    ? population[rng.below(population.size())]
-                    : randomAddress(rng, v);
-                const SearchResult want = db->search(k);
-                const SearchResult got = db->searchConcurrent(k, scratch);
-                ASSERT_EQ(got.hit, want.hit)
-                    << "op " << op << " key " << k.toString();
-                ASSERT_EQ(got.bucketsAccessed, want.bucketsAccessed)
-                    << "op " << op << " key " << k.toString();
-                if (want.hit) {
-                    ASSERT_EQ(got.data, want.data);
-                    ASSERT_TRUE(got.key == want.key);
-                }
-            }
-        }
-        EXPECT_GT(db->slice().prefilterSkips(), 0u);
-    }
-}
-
-// ---------------------------------------------------------------------
-// The racing one-sided-error hammer (TSan target).
-
-TEST(PrefilterConcurrent, StableKeysAlwaysHitUnderChurn)
-{
-    // Reader threads run the validated concurrent consult over keys
-    // that are never mutated, while the writer churns other keys
-    // through insert/erase/rebuildSwap.  A stale or racing filter word
-    // may cost an extra fetch; it must never hide a stable key.
-    const Variant v = binaryVariant();
-    auto db = buildDatabase(v, "race");
-    db->setPrefilterEnabled(true);
-    sim::EpochDomain domain;
-
-    Rng setup(2024);
-    std::vector<Key> stable;
-    std::vector<uint64_t> stableData;
-    for (int i = 0; i < 48; ++i) {
-        const uint64_t raw =
-            (setup.next64() & 0xffffffffu) | (1u << 1);
-        Key k = Key::fromUint(raw, v.keyBits);
-        if (db->search(k).hit)
-            continue;
-        const uint64_t data = setup.below(1u << 16);
-        if (db->insert(Record{k, data})) {
-            stable.push_back(k);
-            stableData.push_back(data);
-        }
-    }
-    ASSERT_GT(stable.size(), 20u);
-
-    std::atomic<bool> stop{false};
-    std::atomic<uint64_t> reads{0};
-    std::atomic<int> failures{0};
-
-    constexpr unsigned kReaders = 3;
-    std::vector<std::thread> readers;
-    for (unsigned r = 0; r < kReaders; ++r) {
-        readers.emplace_back([&, r] {
-            Rng rng(1000 + r);
-            CaRamSlice::ConcurrentSearchScratch scratch;
-            while (!stop.load(std::memory_order_acquire)) {
-                const std::size_t i = rng.below(stable.size());
-                const sim::EpochDomain::Guard guard(domain);
-                const SearchResult got =
-                    db->searchConcurrent(stable[i], scratch);
-                if (!got.hit || got.data != stableData[i]) {
-                    failures.fetch_add(1, std::memory_order_relaxed);
-                    break;
-                }
-                reads.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-
-    // Writer: volatile churn under ~50% load (a saturated re-ingest
-    // could legitimately drop records and muddy the invariant).
-    Rng wrng(77);
-    std::vector<Key> volatiles;
-    for (int i = 0;
-         i < 4000 || (reads.load(std::memory_order_relaxed) < 2000 &&
-                      failures.load(std::memory_order_relaxed) == 0 &&
-                      i < 4000000);
-         ++i) {
-        const double roll = wrng.uniform();
-        if ((roll < 0.5 && volatiles.size() < 60) || volatiles.empty()) {
-            const uint64_t raw = (wrng.next64() & 0xffffffffu) &
-                                 ~static_cast<uint64_t>(1u << 1);
-            const Key k = Key::fromUint(raw, v.keyBits);
-            if (db->insert(Record{k, wrng.below(1u << 16)}))
-                volatiles.push_back(k);
-        } else if (roll < 0.95) {
-            const std::size_t idx = wrng.below(volatiles.size());
-            db->erase(volatiles[idx]);
-            volatiles.erase(volatiles.begin() +
-                            static_cast<std::ptrdiff_t>(idx));
-        } else {
-            // The swapped-in slice must inherit the filter flag and
-            // arrive with a freshly built filter.
-            const auto s = db->rebuildSwap(domain);
-            ASSERT_TRUE(s.ok);
-            ASSERT_EQ(s.failedRecords, 0u);
-        }
-    }
-
-    stop.store(true, std::memory_order_release);
-    for (auto &t : readers)
-        t.join();
-    domain.drain();
-
-    EXPECT_EQ(failures.load(), 0);
-    EXPECT_GT(reads.load(), 0u);
-    EXPECT_TRUE(db->prefilterEnabled());
-    EXPECT_EQ(domain.pendingRetired(), 0u);
 }
 
 } // namespace

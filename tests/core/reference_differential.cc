@@ -1,0 +1,448 @@
+/**
+ * @file
+ * Brute-force reference differential: seeded Search/Insert/Erase/
+ * Rebuild streams run through the engine and, independently, through a
+ * reference table that holds a plain record vector and answers with a
+ * linear Key::matches scan -- no hashing, no buckets, no probing, no
+ * CaRamSlice code at all.  The engine-vs-serial differentials compare
+ * two runs of the same slice code, so a semantic bug in the slice
+ * passes every one of them; it fails here.
+ *
+ * Four tables ride one subsystem, one per port: binary, first-match
+ * ternary and LPM tables with the Probing overflow policy, and a
+ * binary table with a ParallelSlice overflow area.  The rules the
+ * reference checks, per response:
+ *
+ *  - Search: `hit` equals "some live record matches".  LPM answers
+ *    with a matching record of the longest care-popcount (unique for a
+ *    fully specified address).  First match (binary and ternary) only
+ *    requires the answer to be one of the matches.
+ *  - Insert: the reference cannot predict placement, so it follows the
+ *    table -- an accepted insert adds the record, a rejected one leaves
+ *    the reference unchanged.
+ *  - Erase: `hit` equals "the reference held the key".  On binary
+ *    tables the count equals the copies the reference held; ternary
+ *    keys are duplicated across home rows, so their physical count is
+ *    not compared.
+ *  - Rebuild: succeeds and reports the reference's record count.
+ *
+ * bucketsAccessed is never compared.  Each stream inserts every key at
+ * most once: Database::erase removes one copy per candidate home, so a
+ * key inserted twice would survive one erase (ROADMAP item 1 owns that
+ * question).  Swept over workers {0, 1, 2, 4} x batchSize {1, 32},
+ * plus a maintenance-on leg over the binary tables.
+ */
+
+#include <algorithm>
+#include <chrono>
+#include <memory>
+#include <string>
+#include <thread>
+#include <unordered_set>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/random.h"
+#include "core/subsystem.h"
+#include "engine/parallel_search_engine.h"
+#include "hash/bit_select.h"
+
+namespace caram::engine {
+namespace {
+
+using core::CaRamSubsystem;
+using core::DatabaseConfig;
+using core::OverflowPolicy;
+using core::PortOp;
+using core::PortRequest;
+using core::PortResponse;
+using core::Record;
+
+/** One table shape and its key distribution. */
+struct Variant
+{
+    const char *name;
+    unsigned keyBits;
+    unsigned indexBits;
+    bool ternary;
+    bool lpm;
+    OverflowPolicy overflow;
+    std::vector<unsigned> taps;
+};
+
+Variant
+binaryVariant()
+{
+    return Variant{"binary", 32, 6, false, false, OverflowPolicy::Probing,
+                   {0, 5, 11, 17, 22, 28}};
+}
+
+Variant
+ternaryVariant()
+{
+    return Variant{"ternary", 40,    7,
+                   true,      false, OverflowPolicy::Probing,
+                   {0, 5, 11, 17, 22, 28, 33}};
+}
+
+Variant
+lpmVariant()
+{
+    // Taps inside the top byte: every stored prefix (length >= 8)
+    // cares for them, so each prefix has one home row.
+    return Variant{"lpm", 32,   6, true,
+                   true,  OverflowPolicy::Probing, {0, 1, 2, 3, 5, 7}};
+}
+
+Variant
+overflowSliceVariant()
+{
+    // A 16-row main table with no probing: spills go to the parallel
+    // overflow slice.
+    return Variant{"binary-ovslice", 32, 4, false, false,
+                   OverflowPolicy::ParallelSlice, {0, 5, 11, 17, 22, 28}};
+}
+
+DatabaseConfig
+dbConfig(const Variant &v)
+{
+    DatabaseConfig cfg;
+    cfg.name = v.name;
+    cfg.sliceShape.indexBits = v.indexBits;
+    cfg.sliceShape.logicalKeyBits = v.keyBits;
+    cfg.sliceShape.ternary = v.ternary;
+    cfg.sliceShape.lpm = v.lpm;
+    cfg.sliceShape.slotsPerBucket = 4;
+    cfg.sliceShape.dataBits = 16;
+    cfg.sliceShape.maxProbeDistance = 8;
+    cfg.overflow = v.overflow;
+    if (v.overflow == OverflowPolicy::ParallelSlice) {
+        cfg.overflowIndexBits = 5;
+        cfg.overflowSlots = 4;
+    }
+    const std::vector<unsigned> taps = v.taps;
+    cfg.indexFactory = [taps](const core::SliceConfig &eff)
+        -> std::unique_ptr<hash::IndexGenerator> {
+        std::vector<unsigned> use(taps.begin(),
+                                  taps.begin() + eff.indexBits);
+        return std::make_unique<hash::BitSelectIndex>(
+            eff.logicalKeyBits, std::move(use));
+    };
+    return cfg;
+}
+
+/** The brute-force table: a record vector and a linear scan. */
+class Reference
+{
+  public:
+    explicit Reference(bool lpm) : lpm_(lpm) {}
+
+    void insert(const Record &r) { records_.push_back(r); }
+
+    /** Remove every record stored under exactly @p key; returns how
+     *  many there were. */
+    unsigned
+    erase(const Key &key)
+    {
+        const auto end = std::remove_if(
+            records_.begin(), records_.end(),
+            [&](const Record &r) { return r.key == key; });
+        const auto held = static_cast<unsigned>(records_.end() - end);
+        records_.erase(end, records_.end());
+        return held;
+    }
+
+    std::size_t size() const { return records_.size(); }
+
+    /** Check one search answer against the scan. */
+    void
+    expectAnswer(const Key &search, bool hit, const Key &key,
+                 uint64_t data) const
+    {
+        std::vector<const Record *> matches;
+        for (const Record &r : records_) {
+            if (r.key.matches(search))
+                matches.push_back(&r);
+        }
+        ASSERT_EQ(hit, !matches.empty()) << "search " << search.toString();
+        if (!hit)
+            return;
+        if (lpm_) {
+            // Keep only the longest matches.  A fully specified address
+            // has exactly one; a search prefix can tie several.
+            unsigned longest = 0;
+            for (const Record *r : matches)
+                longest = std::max(longest, r->key.carePopcount());
+            std::erase_if(matches, [&](const Record *r) {
+                return r->key.carePopcount() != longest;
+            });
+        }
+        EXPECT_TRUE(std::any_of(matches.begin(), matches.end(),
+                                [&](const Record *r) {
+                                    return r->key == key &&
+                                           r->data == data;
+                                }))
+            << "search " << search.toString() << " answered "
+            << key.toString() << " / " << data << ", which is no "
+            << (lpm_ ? "longest " : "") << "live match";
+    }
+
+  private:
+    bool lpm_;
+    std::vector<Record> records_;
+};
+
+/** Draws the keys of one port: fresh insert keys (never repeated),
+ *  and search keys that hit, miss, or straddle several homes. */
+class KeySource
+{
+  public:
+    KeySource(const Variant &v, uint64_t seed) : v_(v), rng_(seed)
+    {
+        for (int i = 0; i < 24; ++i)
+            pool_.push_back(static_cast<uint32_t>(rng_.next64()));
+    }
+
+    /** A key never drawn by fresh() before. */
+    Key
+    fresh()
+    {
+        for (;;) {
+            Key k = draw(0.97);
+            if (drawn_.insert(k).second) {
+                inserted_.push_back(k);
+                return k;
+            }
+        }
+    }
+
+    /** A key the stream inserted earlier (live or erased since). */
+    Key
+    replay()
+    {
+        return inserted_[rng_.below(inserted_.size())];
+    }
+
+    bool haveInserted() const { return !inserted_.empty(); }
+
+    Key
+    search()
+    {
+        if (v_.lpm) {
+            // An address inside some pool prefixes: its low bits are
+            // random, so it matches every pool prefix no longer than
+            // the bits it kept.
+            const unsigned low = static_cast<unsigned>(rng_.below(25));
+            const uint64_t noise =
+                low == 0 ? 0 : rng_.next64() & ((uint64_t{1} << low) - 1);
+            return Key::prefix(pool_[rng_.below(pool_.size())] ^ noise,
+                               v_.keyBits, v_.keyBits);
+        }
+        Key k = haveInserted() && rng_.chance(0.5) ? replay() : draw(0.95);
+        if (v_.ternary && rng_.chance(0.35)) {
+            // Don't-care bits in tap positions: a multi-home lookup.
+            const unsigned clear = static_cast<unsigned>(rng_.inRange(1, 3));
+            for (unsigned c = 0; c < clear; ++c)
+                k.setBitAt(v_.taps[rng_.below(v_.taps.size())], false,
+                           false);
+        }
+        return k;
+    }
+
+    Rng &rng() { return rng_; }
+
+  private:
+    Key
+    draw(double care_p)
+    {
+        if (v_.lpm) {
+            const auto len =
+                static_cast<unsigned>(rng_.inRange(8, v_.keyBits));
+            return Key::prefix(pool_[rng_.below(pool_.size())], len,
+                               v_.keyBits);
+        }
+        Key k(v_.keyBits);
+        for (unsigned p = 0; p < v_.keyBits; ++p)
+            k.setBitAt(p, rng_.chance(0.5),
+                       !v_.ternary || rng_.chance(care_p));
+        return k;
+    }
+
+    Variant v_;
+    Rng rng_;
+    std::vector<uint32_t> pool_;
+    std::unordered_set<Key, Key::Hasher> drawn_;
+    std::vector<Key> inserted_;
+};
+
+int
+priorityOf(const Variant &v, const Key &k)
+{
+    return v.lpm ? static_cast<int>(k.carePopcount()) : 0;
+}
+
+/** One leg: the tables of @p variants (one per port), a base
+ *  population, then a seeded stream through an engine built from
+ *  @p cfg, every response checked against the reference. */
+void
+runLeg(const std::vector<Variant> &variants, const EngineConfig &cfg,
+       uint64_t seed)
+{
+    SCOPED_TRACE(::testing::Message()
+                 << "workers " << cfg.workers << " batch "
+                 << cfg.batchSize << " seed " << seed);
+    const auto nports = static_cast<unsigned>(variants.size());
+    CaRamSubsystem sys(1024, 1024, true);
+    std::vector<Reference> refs;
+    std::vector<KeySource> sources;
+    for (unsigned p = 0; p < nports; ++p) {
+        const Variant &v = variants[p];
+        auto &db = sys.addDatabase(dbConfig(v));
+        refs.emplace_back(v.lpm);
+        sources.emplace_back(v, seed * 31 + p);
+        for (int i = 0; i < 40; ++i) {
+            const Record r{sources[p].fresh(),
+                           sources[p].rng().below(1u << 16)};
+            if (db.insert(r, priorityOf(v, r.key)))
+                refs[p].insert(r);
+        }
+    }
+
+    Rng rng(seed);
+    std::vector<PortRequest> stream;
+    for (uint64_t tag = 1; tag <= 3000; ++tag) {
+        PortRequest req;
+        req.port = static_cast<unsigned>(rng.below(nports));
+        req.tag = tag;
+        KeySource &src = sources[req.port];
+        const double roll = rng.uniform();
+        if (roll < 0.10) {
+            req.op = PortOp::Insert;
+            req.key = src.fresh();
+            req.data = rng.below(1u << 16);
+            req.priority = priorityOf(variants[req.port], req.key);
+        } else if (roll < 0.16) {
+            req.op = PortOp::Erase;
+            req.key = src.haveInserted() && rng.chance(0.8)
+                ? src.replay()
+                : src.search();
+        } else if (roll < 0.18) {
+            req.op = PortOp::Rebuild;
+        } else {
+            req.op = PortOp::Search;
+            req.key = src.search();
+        }
+        stream.push_back(std::move(req));
+    }
+
+    ParallelSearchEngine eng(sys, cfg);
+    eng.start();
+    ASSERT_EQ(eng.submitBatch(stream), stream.size());
+    eng.drain();
+    if (eng.resolvedMaintenance()) {
+        // An idle planner steps back to back: make sure the run
+        // included maintenance work before the tables are compared.
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(5);
+        while (eng.report().maintenanceSteps == 0 &&
+               std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        EXPECT_GT(eng.report().maintenanceSteps, 0u);
+    }
+    eng.stop();
+
+    std::vector<std::vector<PortResponse>> got(nports);
+    for (unsigned p = 0; p < nports; ++p) {
+        while (auto r = eng.fetchResult(p))
+            got[p].push_back(std::move(*r));
+    }
+    std::vector<std::size_t> next(nports, 0);
+    for (const PortRequest &req : stream) {
+        const unsigned p = req.port;
+        const Variant &v = variants[p];
+        ASSERT_LT(next[p], got[p].size()) << v.name << " ran short";
+        const PortResponse &resp = got[p][next[p]++];
+        SCOPED_TRACE(::testing::Message()
+                     << v.name << " tag " << req.tag);
+        ASSERT_EQ(resp.tag, req.tag);
+        ASSERT_TRUE(resp.ok);
+        switch (req.op) {
+          case PortOp::Search:
+            refs[p].expectAnswer(req.key, resp.hit, resp.key, resp.data);
+            break;
+          case PortOp::Insert:
+            if (resp.hit)
+                refs[p].insert(Record{req.key, req.data});
+            break;
+          case PortOp::Erase: {
+            const unsigned held = refs[p].erase(req.key);
+            EXPECT_EQ(resp.hit, held > 0) << req.key.toString();
+            if (!v.ternary) {
+                EXPECT_EQ(resp.data, held) << req.key.toString();
+            }
+            break;
+          }
+          case PortOp::Rebuild:
+            EXPECT_TRUE(resp.hit);
+            EXPECT_EQ(resp.data, refs[p].size());
+            break;
+          case PortOp::Maintenance:
+            FAIL() << "maintenance steps produce no response";
+        }
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+
+    // The final tables answer like the reference too, for every key the
+    // stream inserted and a fresh batch of searches.
+    for (unsigned p = 0; p < nports; ++p) {
+        SCOPED_TRACE(variants[p].name);
+        auto &db = sys.database(p);
+        for (int i = 0; i < 300; ++i) {
+            const Key k = i % 2 == 0 && sources[p].haveInserted()
+                ? sources[p].replay()
+                : sources[p].search();
+            const auto r = db.search(k);
+            refs[p].expectAnswer(k, r.hit, r.key, r.data);
+            if (::testing::Test::HasFatalFailure())
+                return;
+        }
+    }
+}
+
+/** One workers x batchSize leg over all four tables. */
+void
+runAllTables(unsigned workers, std::size_t batch_size)
+{
+    EngineConfig cfg;
+    cfg.workers = workers;
+    cfg.batchSize = batch_size;
+    runLeg({binaryVariant(), ternaryVariant(), lpmVariant(),
+            overflowSliceVariant()},
+           cfg, 0x7ef00 + workers * 64 + batch_size);
+}
+
+TEST(ReferenceDifferential, Workers0Batch1) { runAllTables(0, 1); }
+TEST(ReferenceDifferential, Workers0Batch32) { runAllTables(0, 32); }
+TEST(ReferenceDifferential, Workers1Batch1) { runAllTables(1, 1); }
+TEST(ReferenceDifferential, Workers1Batch32) { runAllTables(1, 32); }
+TEST(ReferenceDifferential, Workers2Batch1) { runAllTables(2, 1); }
+TEST(ReferenceDifferential, Workers2Batch32) { runAllTables(2, 32); }
+TEST(ReferenceDifferential, Workers4Batch1) { runAllTables(4, 1); }
+TEST(ReferenceDifferential, Workers4Batch32) { runAllTables(4, 32); }
+
+TEST(ReferenceDifferential, BinaryTablesWithMaintenanceOn)
+{
+    // The planner migrates spilled binary records closer to home and
+    // adopts overflow-slice records back into the main table while the
+    // stream runs; no answer may change.
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.batchSize = 32;
+    cfg.maintenance = true;
+    runLeg({binaryVariant(), overflowSliceVariant()}, cfg, 0x7ef99);
+}
+
+} // namespace
+} // namespace caram::engine

@@ -337,7 +337,7 @@ TEST(ResultCacheDifferential, BinaryFourWorkersBatched)
     runDifferential(binaryVariant(), 6, 4, 8, 0, 0xcac4e003);
 }
 
-TEST(ResultCacheDifferential, TernaryFanoutPlusWriterLane)
+TEST(ResultCacheDifferential, TernaryFanout)
 {
     // Row fan-out forced down to 2 homes: cached hits must drop out of
     // batches whose misses route through the shard queue.
@@ -356,8 +356,8 @@ TEST(ResultCacheDifferential, LpmMorePortsThanWorkers)
 
 TEST(ResultCacheDifferential, BlockingMutationPath)
 {
-    // The cache composes with the legacy blocking in-run mutation path
-    // too (concurrentMutation defaults on; force it off here).
+    // The cache composes with mutations the owning worker executes in
+    // place between its batched search runs.
     const Variant v = binaryVariant();
     auto oracle_sys = buildSubsystem(v, 4, "oracle");
     auto subject_sys = buildSubsystem(v, 4, "subject");
@@ -367,7 +367,6 @@ TEST(ResultCacheDifferential, BlockingMutationPath)
     EngineConfig cfg;
     cfg.workers = 2;
     cfg.batchSize = 8;
-    cfg.concurrentMutation = false;
     cfg.resultCacheEntries = 4096;
     cfg.maintenance = false; // oracle-exact bucketsAccessed (see above)
     ParallelSearchEngine eng(*subject_sys, cfg);

@@ -1160,59 +1160,6 @@ TEST(Engine, RowFanoutMinEnvReReadAtEachConstruction)
         unsetenv("CARAM_ROW_FANOUT_MIN");
 }
 
-TEST(Engine, WriterLanesEnvReReadAtEachConstruction)
-{
-    // CARAM_WRITER_LANES must be consulted fresh by every engine
-    // construction, not latched process-wide by the first.
-    const char *old = std::getenv("CARAM_WRITER_LANES");
-    const std::string saved = old ? old : "";
-    const bool had = old != nullptr;
-    auto sys = buildLoaded(1, 10);
-    EngineConfig cfg;
-    cfg.workers = 1; // lanes exist only with threaded concurrentMutation
-    setenv("CARAM_WRITER_LANES", "4", 1);
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 4u);
-    }
-    setenv("CARAM_WRITER_LANES", "2", 1);
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 2u);
-    }
-    unsetenv("CARAM_WRITER_LANES");
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 1u);
-    }
-    // An explicit config value always beats the environment, and the
-    // count clamps to the [1, 16] lane range.
-    setenv("CARAM_WRITER_LANES", "8", 1);
-    {
-        EngineConfig forced = cfg;
-        forced.writerLanes = 3;
-        ParallelSearchEngine eng(*sys, forced);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 3u);
-    }
-    {
-        EngineConfig forced = cfg;
-        forced.writerLanes = 64;
-        ParallelSearchEngine eng(*sys, forced);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 16u);
-    }
-    // Inline mode has no writer lanes at all.
-    {
-        EngineConfig inline_cfg = cfg;
-        inline_cfg.workers = 0;
-        ParallelSearchEngine eng(*sys, inline_cfg);
-        EXPECT_EQ(eng.resolvedWriterLanes(), 0u);
-    }
-    if (had)
-        setenv("CARAM_WRITER_LANES", saved.c_str(), 1);
-    else
-        unsetenv("CARAM_WRITER_LANES");
-}
-
 TEST(Engine, ResultCacheEntriesEnvReReadAtEachConstruction)
 {
     // CARAM_RESULT_CACHE_ENTRIES must be consulted fresh by every
@@ -1325,10 +1272,11 @@ TEST(Engine, MaintenanceEnvReReadAtEachConstruction)
 
 TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
 {
-    // The writer-lane hand-off must be invisible to results: the same
-    // mixed stream as MixedOperationsMatchSerial, with the non-blocking
-    // mutation mode enabled, still reproduces the serial per-port FIFO
-    // streams and final tables bit for bit.
+    // Mutations executed in place by the port's owner, between batched
+    // search and insert runs and around rebuilds: the same kind of
+    // mixed stream as MixedOperationsMatchSerial, on two workers with
+    // batchSize 4, still reproduces the serial per-port FIFO streams
+    // and final tables bit for bit.
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
     for (unsigned p = 0; p < 3; ++p) {
@@ -1373,7 +1321,6 @@ TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
     EngineConfig cfg;
     cfg.workers = 2;
     cfg.batchSize = 4;
-    cfg.concurrentMutation = true;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     EXPECT_EQ(eng.submitBatch(stream), stream.size());
@@ -1385,41 +1332,11 @@ TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
     eng.stop();
 }
 
-TEST(Engine, ConcurrentMutationIsTheDefault)
-{
-    // PR 6 shipped the writer lane opt-in; it is now the default.  A
-    // default-constructed config selects it, a threaded engine reports
-    // it active, and inline mode (workers == 0, serial already) must
-    // still degrade to the plain path.
-    EXPECT_TRUE(EngineConfig{}.concurrentMutation);
-
-    auto sys = buildLoaded(2, 10);
-    {
-        EngineConfig cfg;
-        cfg.workers = 2;
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_TRUE(eng.concurrentMutationActive());
-    }
-    {
-        EngineConfig cfg;
-        cfg.workers = 0;
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_FALSE(eng.concurrentMutationActive());
-    }
-    {
-        EngineConfig cfg;
-        cfg.workers = 2;
-        cfg.concurrentMutation = false; // blocking path stays selectable
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_FALSE(eng.concurrentMutationActive());
-    }
-}
-
 TEST(Engine, DefaultConfigMixedOperationsMatchSerial)
 {
-    // The same mixed insert/search/erase/rebuild stream as the explicit
-    // writer-lane differential, but through an untouched EngineConfig:
-    // the flipped default must not change any response or table.
+    // A mixed insert/search/erase/rebuild stream through an untouched
+    // EngineConfig (only the worker count set): the defaults must not
+    // change any response or table.
     Rng rng(31);
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
@@ -1462,7 +1379,6 @@ TEST(Engine, DefaultConfigMixedOperationsMatchSerial)
     EngineConfig cfg;
     cfg.workers = 2; // everything else at its defaults
     ParallelSearchEngine eng(*sys, cfg);
-    ASSERT_TRUE(eng.concurrentMutationActive());
     eng.start();
     EXPECT_EQ(eng.submitBatch(stream), stream.size());
     eng.drain();
@@ -1504,103 +1420,6 @@ TEST(Engine, ResultCacheCountersSurfaceInReport)
     EXPECT_EQ(rep.cacheInvalidations, 1u); // the insert
     EXPECT_EQ(eng.portStats(0).cacheHits.load(), 4u);
     EXPECT_EQ(eng.portStats(1).cacheMisses.load(), 1u);
-}
-
-TEST(Engine, PeekStableKeysWhileMutationStreamRuns)
-{
-    // peek() from threads the engine does not own, racing a live
-    // concurrent-mutation stream that churns inserts, erases and
-    // swap-rebuilds on the same rows: stable keys must always resolve
-    // to their exact record.  ci_tsan.sh runs this against the seqlock
-    // and epoch machinery end to end.
-    constexpr unsigned kPorts = 2;
-    constexpr uint64_t kStable = 24;
-    auto sys = buildLoaded(kPorts, 0);
-    for (unsigned p = 0; p < kPorts; ++p) {
-        for (uint64_t i = 0; i < kStable; ++i) {
-            ASSERT_TRUE(sys->database(p).insert(
-                Record{Key::fromUint(0x100 + i, 32), 0x0a00 + i}));
-        }
-    }
-    // Volatile churn on overlapping home rows; live volatile records
-    // stay near 50 per port so swap-rebuilds never shed anything.
-    std::vector<PortRequest> stream;
-    uint64_t tag = 0;
-    for (uint64_t i = 0; i < 400; ++i) {
-        for (unsigned p = 0; p < kPorts; ++p) {
-            PortRequest ins;
-            ins.port = p;
-            ins.op = PortOp::Insert;
-            ins.key = Key::fromUint(0x10000 + i, 32);
-            ins.data = i & 0xffff;
-            ins.tag = ++tag;
-            stream.push_back(ins);
-            if (i >= 50) {
-                PortRequest e;
-                e.port = p;
-                e.op = PortOp::Erase;
-                e.key = Key::fromUint(0x10000 + (i - 50), 32);
-                e.tag = ++tag;
-                stream.push_back(e);
-            }
-            if (i % 40 == 0) {
-                PortRequest r;
-                r.port = p;
-                r.op = PortOp::Rebuild;
-                r.tag = ++tag;
-                stream.push_back(r);
-            }
-        }
-    }
-
-    EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.batchSize = 4;
-    cfg.concurrentMutation = true;
-    ParallelSearchEngine eng(*sys, cfg);
-    eng.start();
-
-    std::atomic<bool> done{false};
-    std::atomic<uint64_t> reads{0};
-    std::atomic<uint64_t> failures{0};
-    std::vector<std::thread> readers;
-    for (unsigned t = 0; t < 2; ++t) {
-        readers.emplace_back([&, t] {
-            Rng rng(0x9ee7 + t);
-            uint64_t i = 0;
-            // Run until the stream drains AND a read quota proves the
-            // race actually overlapped; stable keys outlive the drain,
-            // so the tail reads still validate.
-            while ((!done.load(std::memory_order_acquire) ||
-                    reads.load(std::memory_order_relaxed) < 1000) &&
-                   failures.load(std::memory_order_relaxed) == 0 &&
-                   i < 4000000) {
-                ++i;
-                const uint64_t k = rng.below(kStable);
-                const unsigned port =
-                    static_cast<unsigned>(rng.below(kPorts));
-                const auto r =
-                    eng.peek(port, Key::fromUint(0x100 + k, 32));
-                if (!r.hit || r.data != 0x0a00 + k)
-                    failures.fetch_add(1, std::memory_order_relaxed);
-                reads.fetch_add(1, std::memory_order_relaxed);
-            }
-        });
-    }
-    EXPECT_EQ(eng.submitBatch(stream), stream.size());
-    eng.drain();
-    done.store(true, std::memory_order_release);
-    for (auto &r : readers)
-        r.join();
-    EXPECT_EQ(failures.load(), 0u);
-    EXPECT_GE(reads.load(), 1000u);
-    // Out-of-band misses stay misses, and peek never touched stats.
-    EXPECT_FALSE(eng.peek(0, Key::fromUint(0xdead00, 32)).hit);
-    uint64_t completed = 0;
-    for (unsigned p = 0; p < kPorts; ++p)
-        completed += eng.portStats(p).completed.load();
-    EXPECT_EQ(completed, stream.size());
-    eng.stop();
 }
 
 /** A mixed Search/Insert/Erase stream over @p nports ports drawing keys
