@@ -5,9 +5,10 @@
 # times slower than the baseline fails the script, as does losing the
 # 5x speedup target on the 144-bit ternary workload.
 #
-# The kernel sweep section additionally gates the AVX2 multi-key group
-# match at >= 2x over the scalar per-key path and compares each
-# kernel's per-key and group ns/key against the SIMD baseline.
+# The kernel sweep section additionally compares each kernel's per-key
+# and group ns/key against the SIMD baseline, and reports the AVX2
+# multi-key group match's speedup over the scalar per-key path as an
+# info line (a wall-clock ratio with no margin; not gated).
 #
 # The bulk-ingest section runs ext_bulk_ingest, which self-gates on
 # the modeled row-op reduction (>= 4x on bursty traffic), on batched
@@ -32,17 +33,6 @@
 # (row-granular invalidation; whole-port generations scored ~0%).  Its
 # s=0.99 hit rate, uplift and churn hit rate are also compared against
 # the checked-in baseline (within 10%).
-#
-# The maintenance section runs ext_maintenance, which self-gates on
-# the self-managing online maintenance engine: modeled foreground
-# throughput with the planner armed within 10% of a maintenance-free
-# engine on saturated mixed churn (the inflight backoff must engage),
-# result streams matching the serial oracle (bucketsAccessed
-# excluded), and an idle engine walking skew-inflated AMAL back to
-# within 5% of an offline rebuild() -- >= 1.5x of the excess recovered
-# with no drain and no live-table rebuild, every live key still
-# answering.  Its churn ratio and recovered AMAL are also compared
-# against the checked-in baseline (within 10%).
 #
 # The pre-filter section runs ext_prefilter, which self-gates on the
 # per-row counting pre-filter: >= 2x modeled-cycle reduction on
@@ -69,8 +59,6 @@
 #       --json bench/baselines/BENCH_result_cache.baseline.json
 #   build/bench/ext_prefilter \
 #       --json bench/baselines/BENCH_prefilter.baseline.json
-#   build/bench/ext_maintenance \
-#       --json bench/baselines/BENCH_maintenance.baseline.json
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default build)
 set -euo pipefail
@@ -83,14 +71,13 @@ INGEST_BASELINE="bench/baselines/BENCH_bulk_ingest.baseline.json"
 FANOUT_BASELINE="bench/baselines/BENCH_row_fanout.baseline.json"
 CACHE_BASELINE="bench/baselines/BENCH_result_cache.baseline.json"
 PREFILTER_BASELINE="bench/baselines/BENCH_prefilter.baseline.json"
-MAINTENANCE_BASELINE="bench/baselines/BENCH_maintenance.baseline.json"
 MAX_REGRESSION="${MAX_REGRESSION:-2.0}"
 LOOKUPS="${LOOKUPS:-100000}"
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target micro_match_path \
     ext_bulk_ingest ext_row_fanout ext_parallel_engine \
-    ext_prefilter ext_maintenance
+    ext_prefilter
 
 LOG_DIR="$BUILD_DIR/bench-logs"
 mkdir -p "$LOG_DIR"
@@ -138,11 +125,6 @@ run_bench prefilter \
     "$BUILD_DIR"/bench/ext_prefilter \
     --json "$BUILD_DIR"/BENCH_prefilter.json \
     --baseline "$PREFILTER_BASELINE"
-
-run_bench maintenance \
-    "$BUILD_DIR"/bench/ext_maintenance \
-    --json "$BUILD_DIR"/BENCH_maintenance.json \
-    --baseline "$MAINTENANCE_BASELINE"
 
 # ---------------------------------------------------------------------
 # Per-metric summary: one row per gate line, offending metrics last so

@@ -40,19 +40,7 @@
 #      counts pin an explicit false, which always wins over the
 #      environment knob.
 #
-#   6. The SIMD build rerun with CARAM_MAINTENANCE=1: every threaded
-#      engine whose config leaves EngineConfig::maintenance unset now
-#      runs the background maintenance planner, so spill migration,
-#      reach trimming and overflow adoption interleave with the whole
-#      suite's mutation and search traffic -- every differential and
-#      invariance expectation must hold while records move between
-#      rows between requests.
-#      Tests that assert exact placement, bucketsAccessed or modeled
-#      row-op counts pin maintenance = false explicitly, which always
-#      wins over the environment knob (and inline engines ignore the
-#      knob entirely).
-#
-#   7. An ASan+UBSan build in its own directory (-fsanitize=address,
+#   6. An ASan+UBSan build in its own directory (-fsanitize=address,
 #      undefined with -fno-sanitize-recover=undefined, plus
 #      -D_GLIBCXX_ASSERTIONS for libstdc++'s bounds checks, e.g. span
 #      and vector indexing): the full suite must run with no sanitizer
@@ -91,11 +79,7 @@ echo "=== leg 5: SIMD build, pre-filter forced on ==="
 CARAM_PREFILTER=1 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 6: SIMD build, background maintenance forced on ==="
-CARAM_MAINTENANCE=1 ctest --test-dir "$SIMD_DIR" \
-    --output-on-failure
-
-echo "=== leg 7: ASan+UBSan build + full ctest ==="
+echo "=== leg 6: ASan+UBSan build + full ctest ==="
 cmake -B "$ASAN_DIR" -S . -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined \
 -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 cmake --build "$ASAN_DIR" -j"$(nproc)"

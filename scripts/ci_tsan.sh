@@ -11,9 +11,7 @@
 #    help-first CompletionLatch join (CompletionLatch.*, Engine.Fanout*,
 #    the fan-out legs of the differentials);
 #  - the result cache hammer: concurrent fill/probe/invalidate on the
-#    per-entry seqlocks (ResultCacheHammer.*, ResultCache*);
-#  - the maintenance planner: its thread pacing steps into the owners'
-#    queues while foreground traffic runs (Maintenance*).
+#    per-entry seqlocks (ResultCacheHammer.*, ResultCache*).
 #
 # The engine-vs-serial differentials (ConcurrentMutationDifferential.*,
 # PrefilterDifferential.*) and the brute-force reference differential
@@ -30,8 +28,7 @@ cmake -B "$BUILD_DIR" -S . -DCARAM_TSAN=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --target test_concurrent_queue test_engine \
     concurrent_mutation_differential result_cache_differential \
-    prefilter_differential maintenance_differential \
-    reference_differential
+    prefilter_differential reference_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|CompletionLatch|Engine|ConcurrentMutation|ResultCache|Prefilter|Maintenance|ReferenceDifferential' \
+    -R 'ConcurrentQueue|CompletionLatch|Engine|ConcurrentMutation|ResultCache|Prefilter|ReferenceDifferential' \
     --output-on-failure

@@ -359,12 +359,17 @@ unsigned
 Database::erase(const Key &key)
 {
     checkAccessible();
-    unsigned removed = slice_->erase(key);
-    const unsigned main_removed = removed;
-    if (overflow_) {
-        while (overflow_->erase(key))
-            ++removed;
-    }
+    // One logical record: one copy per candidate home.  A home whose
+    // copy did not fit went to the overflow area as one entry covering
+    // every such home (insertDetailed()), so the overflow area gives up
+    // one record only when the main slice came up short -- for a binary
+    // key, exactly the copy search() answers with.
+    const unsigned main_removed = slice_->erase(key);
+    if (!hasOverflowArea() || main_removed == slice_->homeRows(key).size())
+        return main_removed;
+    unsigned removed = main_removed;
+    if (overflow_ && overflow_->erase(key))
+        ++removed;
     if (overflowSlice_)
         removed += overflowSlice_->erase(key);
     if (removed != main_removed)
@@ -405,10 +410,10 @@ Database::amal() const
         // Main slice and overflow slice are searched in parallel, so a
         // lookup completes when the longer of the two access chains
         // does: AMAL is the max of the chains, never less than one.
-        return std::max({1.0, loadStats().amalUniform(),
-                         overflowSlice_->loadStats().amalUniform()});
+        return std::max({1.0, slice_->amalUniform(),
+                         overflowSlice_->amalUniform()});
     }
-    return std::max(1.0, loadStats().amalUniform());
+    return std::max(1.0, slice_->amalUniform());
 }
 
 uint64_t

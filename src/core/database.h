@@ -197,7 +197,14 @@ class Database
     uint64_t mergeOverflowResult(const Key &search_key,
                                  SearchResult &result);
 
-    /** Remove all copies of @p key; returns the number removed. */
+    /**
+     * Remove one logical record stored under @p key: one copy per
+     * candidate home (CaRamSlice::erase), plus one overflow-area record
+     * when some home held no copy.  A key inserted twice survives one
+     * erase -- the m / c arithmetic of rebuild() assumes the same rule.
+     * For a binary key this removes exactly the copy search() answers
+     * with.  Returns the number of copies removed.
+     */
     unsigned erase(const Key &key);
 
     /** Number of records (CA-RAM copies + overflow entries). */
@@ -282,10 +289,8 @@ class Database
      * of @p key: ORs the key's *main-slice* region coverage into the
      * overflow dirty accumulator, so takeDirtyRegionMask() invalidates
      * exactly the regions whose lookups the write could affect (see
-     * searchRegionMask()).  Call from the mutation authority only --
-     * every Database overflow write path does, and the engine's
-     * maintenance adoption step does when it migrates an overflow
-     * record home.
+     * searchRegionMask()).  Every Database overflow write path calls
+     * it.
      */
     void noteOverflowMutation(const Key &key);
 
@@ -294,7 +299,8 @@ class Database
 
     /**
      * AMAL of this database: with a parallel overflow TCAM every lookup
-     * is a single access; with probing it follows the placement.
+     * is a single access; with probing it follows the placement.  Reads
+     * the slices' running distance histograms -- O(1) in the table size.
      */
     double amal() const;
 

@@ -29,7 +29,7 @@ LoadStats::spilledRecordFraction() const
 }
 
 double
-LoadStats::amalUniform() const
+amalUniform(const Histogram &distance, uint64_t records)
 {
     if (records == 0)
         return 0.0;

@@ -15,6 +15,14 @@
 
 namespace caram::core {
 
+/**
+ * AMAL under a uniform access pattern: each of @p records placed
+ * records equally likely, lookup cost = probe distance + 1, from the
+ * probe-distance histogram.  The one formula behind both
+ * LoadStats::amalUniform() and CaRamSlice::amalUniform().
+ */
+double amalUniform(const Histogram &distance, uint64_t records);
+
 /** Aggregated placement statistics for one slice/database. */
 struct LoadStats
 {
@@ -42,21 +50,7 @@ struct LoadStats
      * AMAL under a uniform access pattern: each placed record equally
      * likely, lookup cost = probe distance + 1.
      */
-    double amalUniform() const;
-
-    /**
-     * Excess AMAL over the 1.0 floor of a perfectly packed table --
-     * the quantity online maintenance can actually reclaim (a fresh
-     * rebuild of a fitting table drives it to ~0).  The maintenance
-     * engine's recovery gates compare excess, not raw AMAL, so a
-     * nearly-ideal table does not mask a 2x chain-length regression.
-     */
-    double
-    excessAmal() const
-    {
-        const double amal = amalUniform();
-        return amal > 1.0 ? amal - 1.0 : 0.0;
-    }
+    double amalUniform() const { return core::amalUniform(distance, records); }
 };
 
 } // namespace caram::core

@@ -987,16 +987,159 @@ CaRamSlice::eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed)
         filter_.remove(row, key);
         b.clearSlot(static_cast<unsigned>(slot));
         b.setUsedCount(b.usedCount() - 1);
-        // The home bucket's reach is left unchanged (a conservative
-        // over-approximation); adoptRamContents() tightens it.
         --homeDemandPerBucket[home];
         distanceHist.remove(d);
         --recordCount;
         if (d > 0)
             --spilledCount;
+        // Elsewhere the home's reach stays as it was (a conservative
+        // over-approximation); adoptRamContents() or rebuild tightens
+        // it.
+        if (!repairsOnErase())
+            return true;
+        if (d == reach)
+            trimReach(home);
+        fillHole(row, static_cast<unsigned>(slot));
         return true;
     }
     return false;
+}
+
+unsigned
+CaRamSlice::slotValue(uint64_t row, unsigned slot, uint64_t *out) const
+{
+    const unsigned kb = cfg.logicalKeyBits;
+    const uint64_t base = static_cast<uint64_t>(slot) * cfg.slotBits();
+    for (unsigned lo = 0; lo < kb; lo += 64)
+        out[lo / 64] = array_.readBits(row, base + lo, std::min(64u, kb - lo));
+    return (kb + 63) / 64;
+}
+
+uint64_t
+CaRamSlice::slotHome(uint64_t row, unsigned slot) const
+{
+    uint64_t v[Key::kWords];
+    const unsigned words = slotValue(row, slot, v);
+    return idxGen->index({v, words}, cfg.logicalKeyBits);
+}
+
+void
+CaRamSlice::fillHole(uint64_t row, unsigned slot)
+{
+    // Invariant (DESIGN.md section 4f): every row from a live record's
+    // home up to its row is full.  A chain can therefore pass the hole
+    // only from a home at or behind it across full rows; `ahead` is
+    // how far past the hole the farthest such chain reaches (an upper
+    // bound once a trim has shortened one).
+    const uint64_t rows = cfg.rows();
+    const unsigned slots = cfg.slotsPerBucket;
+    const unsigned max_back =
+        static_cast<unsigned>(std::min<uint64_t>(cfg.maxProbeDistance,
+                                                 rows - 1));
+    unsigned ahead = bucket(row).reach();
+    for (unsigned back = 1; back <= max_back; ++back) {
+        BucketView hb = bucket((row + rows - back) % rows);
+        if (hb.usedCount() < slots)
+            break;
+        ahead = std::max(ahead, hb.reach() > back ? hb.reach() - back : 0);
+    }
+    for (unsigned g = 1; g <= ahead; ++g) {
+        const uint64_t r = (row + g) % rows;
+        BucketView rb = bucket(r);
+        // Candidates: records whose home is not in (hole, r], i.e. whose
+        // chain covers the hole.  Take the farthest-displaced one, the
+        // lowest slot on ties -- so no earlier copy of its key sits in
+        // row r, and none sits in the rows between, which held no
+        // candidate.
+        int best = -1;
+        unsigned best_d = 0;
+        uint64_t best_home = 0;
+        for (unsigned i = 0; i < slots; ++i) {
+            if (!rb.slotValid(i))
+                continue;
+            const uint64_t h = slotHome(r, i);
+            const auto d = static_cast<unsigned>((r + rows - h) % rows);
+            // A RAM-adopted record beyond the probe limit counts as
+            // local to its row (adoptRamContents()): never moved.
+            if (d >= g && d <= cfg.maxProbeDistance &&
+                (best < 0 || d > best_d)) {
+                best = static_cast<int>(i);
+                best_d = d;
+                best_home = h;
+            }
+        }
+        if (best < 0) {
+            // A non-full row ends every chain that reaches it.
+            if (rb.usedCount() < slots)
+                return;
+            continue;
+        }
+        const auto from = static_cast<unsigned>(best);
+        uint64_t value[Key::kWords];
+        uint64_t other[Key::kWords];
+        const unsigned words = slotValue(r, from, value);
+        BucketView hole = bucket(row);
+        noteRowDirty(row);
+        noteRowDirty(r);
+        // A later copy of the same key in the hole row must stay behind
+        // the moved record: slide the nearest one into the hole first
+        // (same row, same distance), so the key's copies keep their
+        // chain order and every search keeps its answer.
+        for (unsigned j = slot + 1; j < slots; ++j) {
+            if (hole.slotValid(j) && slotValue(row, j, other) == words &&
+                std::equal(value, value + words, other)) {
+                hole.writeSlot(slot, hole.slotKey(j), hole.slotData(j));
+                hole.clearSlot(j);
+                slot = j;
+            }
+        }
+        const Key key = rb.slotKey(from);
+        hole.writeSlot(slot, key, rb.slotData(from));
+        hole.setUsedCount(hole.usedCount() + 1);
+        filter_.add(row, key);
+        filter_.remove(r, key);
+        rb.clearSlot(from);
+        rb.setUsedCount(rb.usedCount() - 1);
+        distanceHist.remove(best_d);
+        distanceHist.add(best_d - g);
+        if (best_d == g)
+            --spilledCount;
+        if (best_d == bucket(best_home).reach())
+            trimReach(best_home);
+        // The vacated slot is the next hole.  Chains passing it: those
+        // that passed the old hole and reach beyond r, plus those homed
+        // in (old hole, r] -- the rows between were full.
+        ahead -= g;
+        for (unsigned k = 1; k <= g; ++k) {
+            const unsigned reach = bucket((row + k) % rows).reach();
+            ahead = std::max(ahead, reach > g - k ? reach - (g - k) : 0);
+        }
+        row = r;
+        slot = from;
+        g = 0;
+    }
+}
+
+void
+CaRamSlice::trimReach(uint64_t home)
+{
+    BucketView home_bucket = bucket(home);
+    const unsigned cur = home_bucket.reach();
+    unsigned reach = cur;
+    for (; reach > 0; --reach) {
+        const uint64_t row = (home + reach) % cfg.rows();
+        BucketView b = bucket(row);
+        bool found = false;
+        for (unsigned i = 0; i < b.slots() && !found; ++i)
+            found = b.slotValid(i) && slotHome(row, i) == home;
+        if (found)
+            break;
+    }
+    if (reach == cur)
+        return;
+    noteRowDirty(home);
+    home_bucket.setReach(reach);
+    filter_.setReach(home, reach);
 }
 
 unsigned
@@ -1133,97 +1276,6 @@ CaRamSlice::adoptRamContents()
             filter_.setReach(home, reach);
         }
     }
-}
-
-unsigned
-CaRamSlice::maintenanceScanRow(uint64_t row, std::vector<MaintenanceSlot> &out)
-{
-    out.clear();
-    if (row >= cfg.rows())
-        panic("maintenance scan beyond the row space");
-    BucketView b = bucket(row);
-    const unsigned max_d =
-        cfg.probe == ProbePolicy::None ? 0 : cfg.maxProbeDistance;
-    for (unsigned i = 0; i < b.slots(); ++i) {
-        if (!b.slotValid(i))
-            continue;
-        Key key = b.slotKey(i);
-        if (!key.fullySpecified())
-            continue;
-        const uint64_t home = idxGen->index(key.valueWords(), key.bits());
-        unsigned dist = ~0u;
-        for (unsigned d = 0; d <= max_d; ++d) {
-            if (probeRow(home, d, key) == row) {
-                dist = d;
-                break;
-            }
-        }
-        // Unattributable copy (RAM-mode store beyond the probe limit):
-        // leave it where it is.
-        if (dist == ~0u)
-            continue;
-        const uint64_t data = b.slotData(i);
-        out.push_back(MaintenanceSlot{i, Record{std::move(key), data}, home,
-                                      dist});
-    }
-    return static_cast<unsigned>(out.size());
-}
-
-bool
-CaRamSlice::maintenanceHasCloserSlot(uint64_t home, unsigned distance,
-                                     const Key &key)
-{
-    for (unsigned d = 0; d < distance; ++d) {
-        if (bucket(probeRow(home, d, key)).firstFreeSlot() >= 0)
-            return true;
-    }
-    return false;
-}
-
-unsigned
-CaRamSlice::maintenanceTrimReach(uint64_t home)
-{
-    if (cfg.probe != ProbePolicy::Linear)
-        return 0;
-    BucketView home_bucket = bucket(home);
-    const unsigned cur = home_bucket.reach();
-    if (cur == 0)
-        return 0;
-    // Walk the (shared, key-independent) linear chain tail-first and
-    // keep the furthest distance whose row still holds a record that
-    // could belong to @p home.  A copy actually placed from @p home
-    // always lists @p home among its candidates, so the recomputed
-    // reach never under-sets.
-    unsigned new_reach = 0;
-    std::vector<uint64_t> cand;
-    for (unsigned d = cur; d >= 1 && new_reach == 0; --d) {
-        const uint64_t row = (home + d) % cfg.rows();
-        BucketView b = bucket(row);
-        for (unsigned i = 0; i < b.slots(); ++i) {
-            if (!b.slotValid(i))
-                continue;
-            const Key key = b.slotKey(i);
-            if (key.fullySpecified()) {
-                if (idxGen->index(key.valueWords(), key.bits()) == home) {
-                    new_reach = d;
-                    break;
-                }
-                continue;
-            }
-            idxGen->candidateIndices(key.valueWords(), key.careWords(),
-                                     key.bits(), cand);
-            if (std::find(cand.begin(), cand.end(), home) != cand.end()) {
-                new_reach = d;
-                break;
-            }
-        }
-    }
-    if (new_reach >= cur)
-        return 0;
-    noteRowDirty(home);
-    home_bucket.setReach(new_reach);
-    filter_.setReach(home, new_reach);
-    return cur - new_reach;
 }
 
 LoadStats

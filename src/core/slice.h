@@ -148,8 +148,20 @@ class CaRamSlice
      */
     SearchResult search(const Key &search_key);
 
-    /** Remove every stored copy whose stored key equals @p key exactly.
-     *  Returns the number of copies removed. */
+    /**
+     * Remove one logical record stored under @p key: one copy per
+     * candidate home, the copy a search walking that home's chain meets
+     * first (a fully specified key has one home, so this is exactly the
+     * copy search() answers with).  Returns the number of copies
+     * removed.
+     *
+     * On a binary, linear-probing slice the erase also repairs its
+     * hole (DESIGN.md section 4f): later records of the chains passing
+     * the hole shift back into it, and the reach of every home whose
+     * farthest record moved or left is trimmed to its farthest live
+     * record.  Search hit/data answers are exactly what they would be
+     * without the repair; only bucketsAccessed can fall.
+     */
     unsigned erase(const Key &key);
 
     /**
@@ -387,8 +399,18 @@ class CaRamSlice
     /** Direct bucket access (tests, mapping layers). */
     BucketView bucket(uint64_t row) { return {array_, cfg, row}; }
 
-    /** Placement statistics (Tables 2 and 3 inputs). */
+    /** Placement statistics (Tables 2 and 3 inputs).  Walks every row
+     *  for the home-demand histogram; amalUniform() is the O(1) way to
+     *  read AMAL alone. */
     LoadStats loadStats() const;
+
+    /** loadStats().amalUniform(), bit-identical, from the running
+     *  distance histogram and record count (no row walk). */
+    double
+    amalUniform() const
+    {
+        return core::amalUniform(distanceHist, recordCount);
+    }
 
     /** Per-bucket occupancy (valid slots), for Figure 7. */
     Histogram occupancyHistogram() const;
@@ -454,52 +476,6 @@ class CaRamSlice
     }
     /// @}
 
-    /// @name Online maintenance primitives (engine::MaintenanceEngine)
-    ///
-    /// All of these follow the same single-owner rule as
-    /// insert()/erase(): the caller must be the thread that owns this
-    /// slice (the engine runs them on the port's owning worker, between
-    /// that port's requests).
-    /// @{
-    /** One stored copy surfaced by maintenanceScanRow(): where it
-     *  sits, which home bucket it is attributed to, and at what probe
-     *  distance.  Only fully specified keys are reported -- they have
-     *  exactly one candidate home, so home and distance are
-     *  recoverable from the raw array alone (duplicated ternary
-     *  copies are left where insert() put them). */
-    struct MaintenanceSlot
-    {
-        unsigned slot = 0;      ///< slot index within the scanned row
-        Record record;          ///< stored key + data
-        uint64_t home = 0;      ///< attributed home bucket
-        unsigned distance = 0;  ///< probe distance home -> scanned row
-    };
-
-    /** Enumerate the attributable copies stored in @p row into @p out
-     *  (cleared first).  Returns the number reported. */
-    unsigned maintenanceScanRow(uint64_t row,
-                                std::vector<MaintenanceSlot> &out);
-
-    /** True when some probe row of @p key at distance < @p distance
-     *  from @p home has a free slot -- i.e. a copy currently sitting
-     *  at @p distance could be migrated strictly closer to home. */
-    bool maintenanceHasCloserSlot(uint64_t home, unsigned distance,
-                                  const Key &key);
-
-    /**
-     * Shrink @p home's overflow reach to the furthest probe distance
-     * that still holds a copy attributable to @p home, after erases
-     * have hollowed out the chain tail.  Conservative: a distance
-     * stays alive while *any* record in its row lists @p home among
-     * its candidate buckets, so no reachable copy ever drops out of
-     * the walk.  Linear probing only -- SecondHash strides
-     * are key-dependent (the chain is not enumerable without the
-     * departed keys) and None never sets a reach.  Returns the number
-     * of distances trimmed (0 if nothing changed).
-     */
-    unsigned maintenanceTrimReach(uint64_t home);
-    /// @}
-
   private:
     /** Row probed at distance @p d from @p home for @p key. */
     uint64_t probeRow(uint64_t home, unsigned d, const Key &key) const;
@@ -536,9 +512,39 @@ class CaRamSlice
                               const uint32_t *idx, unsigned group_size,
                               SearchResult *out, bool pf);
 
-    /** Remove one copy of @p packed's key homed at @p home; returns
-     *  true when found. */
+    /** Remove one copy of @p packed's key homed at @p home (the first
+     *  the chain walk meets), then repair the hole when the slice
+     *  repairs on erase; returns true when found. */
     bool eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed);
+
+    /** Erase-time repair applies: binary keys (one home per record,
+     *  recoverable from the stored bits) on a key-independent linear
+     *  chain. */
+    bool
+    repairsOnErase() const
+    {
+        return !cfg.ternary && cfg.probe == ProbePolicy::Linear;
+    }
+
+    /**
+     * Backward-shift repair of the hole at (@p row, @p slot): while a
+     * chain passes the hole, move its farthest-displaced record from
+     * the nearest row holding one into the hole, and continue from the
+     * slot it vacated.  A home whose moved record sat at its reach is
+     * trimmed at once.
+     */
+    void fillHole(uint64_t row, unsigned slot);
+
+    /** Shrink @p home's reach to its farthest live record (binary
+     *  linear slices only: homes are exact there). */
+    void trimReach(uint64_t home);
+
+    /** Value words of the binary key stored in (@p row, @p slot), read
+     *  without decoding a Key; returns the word count. */
+    unsigned slotValue(uint64_t row, unsigned slot, uint64_t *out) const;
+
+    /** Home bucket of the binary record in (@p row, @p slot). */
+    uint64_t slotHome(uint64_t row, unsigned slot) const;
 
     /** Record @p row as dirtied for cache-region accounting; called
      *  before every store that can change a lookup's outcome. */

@@ -187,11 +187,6 @@ executePortRequest(Database &db, const PortRequest &req)
         resp.data = s.records;
         break;
       }
-      case PortOp::Maintenance:
-        // Maintenance steps are intercepted by the engine's execution
-        // path (ParallelSearchEngine::execute) before reaching here;
-        // they carry no payload and produce no response.
-        panic("maintenance requests are engine-internal");
     }
     return resp;
 }

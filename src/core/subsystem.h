@@ -38,12 +38,6 @@ enum class PortOp
     Insert,
     Erase,
     Rebuild,
-    /** Engine-internal: one background maintenance step (migrate /
-     *  trim / adopt; see engine::MaintenanceEngine).  Rides the port
-     *  request plumbing so the port's owning worker stays its only
-     *  executing thread, but produces no PortResponse and never reaches
-     *  executePortRequest(), which panics on it. */
-    Maintenance,
 };
 
 /** A queued CAM-mode request submitted through a virtual port. */

@@ -9,7 +9,6 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
-#include "engine/maintenance_engine.h"
 #include "sim/completion_latch.h"
 
 namespace caram::engine {
@@ -89,29 +88,6 @@ envPrefilter()
     return v != 0;
 }
 
-/** CARAM_MAINTENANCE, parsed fresh on every call like the knobs
- *  above.  The forced-maintenance CI leg sets it to 1 so every engine
- *  whose config leaves `maintenance` unset runs the whole suite with
- *  the background maintenance engine active. */
-std::optional<bool>
-envMaintenance()
-{
-    const char *env = std::getenv("CARAM_MAINTENANCE");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v > 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_MAINTENANCE=%s is not 0 or 1; "
-                           "maintenance stays config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return v != 0;
-}
-
 } // namespace
 
 /** A request travelling through a worker queue, stamped at enqueue. */
@@ -159,8 +135,9 @@ struct ParallelSearchEngine::PortState
     PortStats stats;
     /** Cached Database::searchBandwidthMsps (bit-cast double), written
      *  by refreshAnalyticBounds() at quiesced points and read by
-     *  report() -- the live computation would read non-atomic slice
-     *  load statistics while the owning worker mutates them. */
+     *  report() -- the live computation would read the slices'
+     *  non-atomic distance histograms while the owning worker mutates
+     *  them. */
     std::atomic<uint64_t> analyticBoundBits{0};
 };
 
@@ -219,8 +196,7 @@ struct ParallelSearchEngine::Worker
     std::condition_variable bell;
     /** Per-run publish buffer: responses finished since the last
      *  publish(), in execution order, and the requests executed since
-     *  then (maintenance steps finish without a response).  Reused, so
-     *  steady-state publishing allocates nothing. */
+     *  then.  Reused, so steady-state publishing allocates nothing. */
     struct Finished
     {
         core::PortResponse resp;
@@ -272,19 +248,6 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
         sys->database(static_cast<unsigned>(p))
             .setPrefilterEnabled(prefilter_);
     }
-    // Maintenance: an explicit config value (including an explicit
-    // false, which pins it off) always wins over the environment.
-    // Inline mode has no background execution authority, so the knob
-    // is ignored there regardless of source.
-    bool maintenance = cfg.maintenance.value_or(false);
-    if (!cfg.maintenance.has_value()) {
-        if (const auto env = envMaintenance())
-            maintenance = *env;
-    }
-    if (cfg.workers == 0)
-        maintenance = false;
-    if (maintenance)
-        maintenance_ = std::make_unique<MaintenanceEngine>(*this);
     fanoutTasks = std::make_unique<sim::ConcurrentBoundedQueue<FanoutTask>>(
         std::max<std::size_t>(16,
                               std::size_t{workerCount} *
@@ -317,8 +280,6 @@ ParallelSearchEngine::start()
     wallStart = std::chrono::steady_clock::now();
     for (unsigned w = 0; w < cfg.workers; ++w)
         threads.emplace_back([this, w] { workerMain(w); });
-    if (maintenance_)
-        maintenance_->start();
 }
 
 void
@@ -612,26 +573,6 @@ ParallelSearchEngine::execute(
     const core::PortRequest &request,
     std::chrono::steady_clock::time_point enqueued, unsigned worker_index)
 {
-    if (request.op == core::PortOp::Maintenance) {
-        // Engine-internal maintenance step: runs here, on the port's
-        // owning worker between two of the port's requests.  No
-        // response, no per-port stats; the modeled row operations are
-        // charged to the worker so the interference shows up in
-        // modeled throughput.
-        core::Database &db = sys->database(request.port);
-        uint64_t row_ops = 0;
-        if (maintenance_ &&
-            db.powerState() == core::PowerState::Active)
-            row_ops = maintenance_->executeStep(db, request.port);
-        if (row_ops > 0) {
-            invalidateCache(request.port, /*wholePort=*/false);
-            const uint64_t cycles =
-                row_ops * std::max(1u, cfg.timing.minCycleGap);
-            workers[worker_index]->modeledCycles.fetch_add(
-                cycles, std::memory_order_relaxed);
-        }
-        return;
-    }
     if (request.op == core::PortOp::Search) {
         if (resultCache_ || rowFanoutMin_ > 0) {
             core::Database &db = sys->database(request.port);
@@ -1056,36 +997,6 @@ ParallelSearchEngine::trySubmit(unsigned port, const Key &key,
     return true;
 }
 
-bool
-ParallelSearchEngine::submitMaintenanceStep(unsigned port)
-{
-    if (stopped || !running || port >= ports.size())
-        return false;
-    core::PortRequest req;
-    req.port = port;
-    req.op = core::PortOp::Maintenance;
-    // Counts toward inflight only -- drain() must cover an in-flight
-    // step (it mutates the table), but no response is produced, so the
-    // per-port submitted/completed counters stay foreground-only.
-    inflight.fetch_add(1, std::memory_order_acq_rel);
-    if (!workers[workerOf(port)]->queue.tryPush(
-            Job{req, std::chrono::steady_clock::now()})) {
-        noteCompletion(1);
-        return false;
-    }
-    ring(workerOf(port));
-    return true;
-}
-
-uint64_t
-ParallelSearchEngine::completedCount() const
-{
-    uint64_t done = 0;
-    for (const auto &port : ports)
-        done += port->stats.completed.load(std::memory_order_relaxed);
-    return done;
-}
-
 std::size_t
 ParallelSearchEngine::submitBatch(
     std::span<const core::PortRequest> requests)
@@ -1198,21 +1109,17 @@ ParallelSearchEngine::drain()
 {
     if (cfg.workers == 0 || !running)
         return; // inline mode is always drained
-    // Pause the maintenance planner for the wait: its steps count
-    // toward inflight, so an unpaused planner could keep the count
-    // bouncing off zero indefinitely.
-    drainingFg_.store(true, std::memory_order_release);
     {
         std::unique_lock<std::mutex> lock(drainMutex);
         drainCv.wait(lock, [&] {
             return inflight.load(std::memory_order_acquire) == 0;
         });
     }
-    // Quiesced window: inflight is 0 (maintenance steps count toward
-    // it) and the paused planner cannot submit a new one until the
-    // flag below clears, so no thread is mutating the tables.
+    // Quiesced window: inflight is 0, so no worker is mutating the
+    // tables.  The bound reads AMAL from the slices' running counters
+    // (O(ports), no row walk); the snapshot stays because those
+    // counters are not atomic.
     refreshAnalyticBounds();
-    drainingFg_.store(false, std::memory_order_release);
 }
 
 void
@@ -1231,9 +1138,6 @@ ParallelSearchEngine::stop()
 {
     if (stopped)
         return;
-    // Planner first: no new maintenance steps once the drain starts.
-    if (maintenance_)
-        maintenance_->stopPlanner();
     if (running)
         drain();
     stopped = true;
@@ -1332,8 +1236,8 @@ ParallelSearchEngine::report() const
         core::Database &db = sys->database(static_cast<unsigned>(p));
         // Inline mode computes the bound live (the caller is the only
         // executing thread); threaded engines read the snapshot from
-        // the last quiesced point -- the live computation walks
-        // non-atomic load statistics the owning workers mutate.
+        // the last quiesced point -- the live computation reads
+        // non-atomic distance histograms the owning workers mutate.
         if (cfg.workers == 0)
             out.analyticBoundMsps += db.searchBandwidthMsps(cfg.timing);
         else
@@ -1351,16 +1255,6 @@ ParallelSearchEngine::report() const
         wallEndNs.load(std::memory_order_acquire) / 1e9;
     if (out.wallSeconds > 0.0)
         out.wallMsps = out.completed / out.wallSeconds / 1e6;
-    if (maintenance_) {
-        out.maintenanceSteps = maintenance_->steps();
-        out.maintenanceSweeps = maintenance_->sweeps();
-        out.rowsMigrated = maintenance_->rowsMigrated();
-        out.overflowCompacted = maintenance_->overflowCompacted();
-        out.reachTrims = maintenance_->reachTrims();
-        out.maintenanceBackoffs = maintenance_->backoffs();
-        out.amalBefore = maintenance_->amalBefore();
-        out.amalAfter = maintenance_->amalAfter();
-    }
     return out;
 }
 

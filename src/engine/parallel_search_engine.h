@@ -45,8 +45,8 @@
  * mixed mutation streams.
  *
  * One thread owns each table: the port's worker executes every request
- * of that port -- searches, inserts, erases, rebuilds and maintenance
- * steps -- in submission order, so independent ports proceed in
+ * of that port -- searches, inserts, erases and rebuilds -- in
+ * submission order, so independent ports proceed in
  * parallel on their own workers while no table is ever read or
  * written by two threads at once (the shared-nothing arrangement of
  * the paper's section 3.4, where each slice answers its own queue).
@@ -188,28 +188,6 @@ struct EngineConfig
      * pins the filter off even under the forced-filter CI leg.
      */
     std::optional<bool> prefilter{};
-
-    /**
-     * Online self-managing maintenance (engine/maintenance_engine.h):
-     * a background planner paces incremental table maintenance --
-     * migrating spilled records toward their home buckets as erase
-     * holes open, trimming hollowed-out overflow reaches, and adopting
-     * overflow-slice records back into the main table -- while
-     * foreground traffic keeps running.  Every step is an internal
-     * request in the owning worker's queue, executed between that
-     * port's requests and invalidating only the dirtied cache regions,
-     * so result streams stay bit-identical to a maintenance-free
-     * engine for keyed (unique fully-specified key) tables; see
-     * DESIGN.md section 4f for the interference-arbitration budget and
-     * the one-step migration.  nullopt (the default) defers to the
-     * CARAM_MAINTENANCE environment variable (0/1, re-read at each
-     * engine's construction like CARAM_ROW_FANOUT_MIN -- see
-     * resolvedMaintenance()); an explicit value always wins, so
-     * `false` pins maintenance off even under the forced CI leg.
-     * Ignored in inline mode (workers == 0): there is no background
-     * execution authority to ride.
-     */
-    std::optional<bool> maintenance{};
 };
 
 /**
@@ -263,8 +241,8 @@ struct EngineReport
     double modeledSpeedup = 0.0;
     /** Sum of Database::searchBandwidthMsps over the served ports.
      *  Sampled at quiesced points (construction, drain(), stop()) --
-     *  not live -- because the bound reads non-atomic load statistics
-     *  that the owning workers mutate; report() itself stays safe to
+     *  not live -- because the bound reads the slices' non-atomic
+     *  distance histograms, which the owning workers mutate; report() itself stays safe to
      *  call any time.  Inline engines (workers == 0) compute it live:
      *  the caller is the only executing thread. */
     double analyticBoundMsps = 0.0;
@@ -311,31 +289,7 @@ struct EngineReport
     /** Consulted rows the filter proved unable to match -- fetches
      *  (and their modeled cycles) that were never issued. */
     uint64_t prefilterSkips = 0;
-    /** Maintenance steps the owning workers executed (0 when
-     *  EngineConfig::maintenance is off). */
-    uint64_t maintenanceSteps = 0;
-    /** Full table sweeps the maintenance engine completed. */
-    uint64_t maintenanceSweeps = 0;
-    /** Spilled records migrated strictly closer to their home bucket
-     *  (erase holes filled). */
-    uint64_t rowsMigrated = 0;
-    /** Overflow-slice records adopted back into the main table. */
-    uint64_t overflowCompacted = 0;
-    /** Hollowed-out overflow reaches trimmed (probe distances no
-     *  longer walked by lookups). */
-    uint64_t reachTrims = 0;
-    /** Steps the planner withheld because foreground queue depth
-     *  exceeded the arbitration backoff threshold. */
-    uint64_t maintenanceBackoffs = 0;
-    /** Mean per-port database AMAL sampled at each port's first
-     *  maintenance step (0 when no step ran). */
-    double amalBefore = 0.0;
-    /** Mean per-port database AMAL sampled at each port's most recent
-     *  completed sweep (0 until a sweep completes). */
-    double amalAfter = 0.0;
 };
-
-class MaintenanceEngine;
 
 /** Shards a CaRamSubsystem's ports across worker threads. */
 class ParallelSearchEngine
@@ -430,10 +384,8 @@ class ParallelSearchEngine
      *  (config value, or CARAM_PREFILTER read at that moment). */
     bool resolvedPrefilter() const { return prefilter_; }
 
-    /** The maintenance setting this engine resolved at construction
-     *  (config value, or CARAM_MAINTENANCE read at that moment; always
-     *  false in inline mode). */
-    bool resolvedMaintenance() const { return maintenance_ != nullptr; }
+    /** Always false; kept for the benchmark until ROADMAP item 9. */
+    bool resolvedMaintenance() const { return false; }
 
     /** Always 0; kept for the benchmark until ROADMAP item 9. */
     unsigned resolvedWriterLanes() const { return 0; }
@@ -445,8 +397,6 @@ class ParallelSearchEngine
     static constexpr unsigned kMaxFanoutShards = 32;
 
   private:
-    friend class MaintenanceEngine;
-
     struct PortState;
     struct Worker;
 
@@ -457,7 +407,8 @@ class ParallelSearchEngine
     /** Recompute each port's cached analytic search-bandwidth bound.
      *  Only callable while no worker can be mutating the databases
      *  (construction, the drained window inside drain(), after stop()'s
-     *  joins): the bound reads non-atomic slice load statistics. */
+     *  joins): the bound reads the slices' non-atomic distance
+     *  histograms.  O(ports): no row walk. */
     void refreshAnalyticBounds();
     /** Run one popped batch through the run-extension loop. */
     void processJobs(const std::vector<Job> &batch, unsigned index);
@@ -517,21 +468,12 @@ class ParallelSearchEngine
      * responses, one result-mutex acquisition and one `completed`
      * release-add; per call, one clock read, one end-stamp update and
      * one `inflight` subtraction covering every request executed since
-     * the last publish (maintenance steps included).  Called once per
+     * the last publish.  Called once per
      * popped batch and after each inline request.
      */
     void publish(Worker &self);
     /** Retire @p n in-flight requests (waking drain() at zero). */
     void noteCompletion(uint64_t n);
-    /** Enqueue one internal PortOp::Maintenance request for @p port
-     *  (called by the maintenance planner thread; non-blocking --
-     *  false when the owner's queue is full or the engine stopped).
-     *  The request counts toward `inflight` so drain() covers it, but
-     *  toward no per-port stats and no result stream. */
-    bool submitMaintenanceStep(unsigned port);
-    /** Total completed foreground requests across the ports (the
-     *  maintenance planner's foreground-progress signal). */
-    uint64_t completedCount() const;
 
     core::CaRamSubsystem *sys;
     EngineConfig cfg;
@@ -548,18 +490,9 @@ class ParallelSearchEngine
     /** One per worker thread (one in inline mode). */
     std::vector<std::unique_ptr<Worker>> workers;
     std::vector<std::thread> threads;
-    /** Background maintenance (null = off; see
-     *  EngineConfig::maintenance).  Its planner thread paces
-     *  submitMaintenanceStep(); the steps themselves execute on the
-     *  port's owning worker like any other request. */
-    std::unique_ptr<MaintenanceEngine> maintenance_;
     bool running = false;
     /** Atomic: producers on any thread read it while stop() sets it. */
     std::atomic<bool> stopped{false};
-    /** True while drain() waits for inflight == 0: the maintenance
-     *  planner pauses so its steps cannot keep inflight nonzero
-     *  indefinitely. */
-    std::atomic<bool> drainingFg_{false};
 
     std::atomic<uint64_t> inflight{0};
     std::mutex drainMutex;

@@ -218,12 +218,6 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     cfg.workers = workers;
     cfg.batchSize = batch_size;
     cfg.rowFanoutMin = fanout_min;
-    // This harness compares bucketsAccessed bit for bit against the
-    // serial oracle, which background migration legitimately changes:
-    // pin maintenance off (explicit config always beats the
-    // CARAM_MAINTENANCE leg); maintenance_differential.cc owns the
-    // maintenance-on legs with bucketsAccessed excluded.
-    cfg.maintenance = false;
     ParallelSearchEngine eng(*subject_sys, cfg);
     eng.start();
     ASSERT_EQ(eng.submitBatch(stream), stream.size());

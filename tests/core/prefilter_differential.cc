@@ -256,11 +256,6 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     cfg.batchSize = batch_size;
     cfg.rowFanoutMin = fanout_min;
     cfg.prefilter = true;
-    // bucketsAccessed is compared bit for bit against the serial
-    // oracle; pin background maintenance off (explicit config beats
-    // the CARAM_MAINTENANCE leg) -- maintenance-on prefilter coverage
-    // lives in maintenance_differential.cc.
-    cfg.maintenance = false;
     ParallelSearchEngine eng(*subject_sys, cfg);
     EXPECT_TRUE(eng.resolvedPrefilter());
     eng.start();
@@ -349,7 +344,6 @@ TEST(PrefilterDifferential, PayloadsMatchUnfilteredOracle)
         cfg.workers = 2;
         cfg.batchSize = 8;
         cfg.prefilter = true;
-        cfg.maintenance = false; // oracle-exact bucketsAccessed
         ParallelSearchEngine eng(*subject_sys, cfg);
         eng.start();
         ASSERT_EQ(eng.submitBatch(stream), stream.size());

@@ -269,11 +269,6 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     cfg.rowFanoutMin = fanout_min;
     cfg.resultCacheEntries = 4096;
     cfg.resultCacheWays = 4;
-    // bucketsAccessed is compared bit for bit against the serial
-    // oracle here; pin background maintenance off (explicit config
-    // beats the CARAM_MAINTENANCE leg) -- maintenance-on cache legs
-    // live in maintenance_differential.cc.
-    cfg.maintenance = false;
     ParallelSearchEngine eng(*subject_sys, cfg);
     eng.start();
     ASSERT_EQ(eng.submitBatch(stream), stream.size());
@@ -368,7 +363,6 @@ TEST(ResultCacheDifferential, BlockingMutationPath)
     cfg.workers = 2;
     cfg.batchSize = 8;
     cfg.resultCacheEntries = 4096;
-    cfg.maintenance = false; // oracle-exact bucketsAccessed (see above)
     ParallelSearchEngine eng(*subject_sys, cfg);
     eng.start();
     ASSERT_EQ(eng.submitBatch(stream), stream.size());
@@ -791,7 +785,6 @@ TEST(OverflowRegionPrecision, HotKeysSurviveOverflowChurnOnColdRows)
     EngineConfig cfg;
     cfg.workers = 2;
     cfg.resultCacheEntries = 1024;
-    cfg.maintenance = false; // isolate the overflow-write path
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     ASSERT_EQ(eng.submitBatch(stream), stream.size());

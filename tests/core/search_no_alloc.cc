@@ -538,7 +538,6 @@ TEST(SearchNoAlloc, ThreadedEngineRoundAfterWarmUp)
 
     engine::EngineConfig cfg;
     cfg.workers = 1;
-    cfg.maintenance = false; // planner steps are not part of the round
     engine::ParallelSearchEngine eng(sys, cfg);
     eng.start();
     const std::atomic<uint64_t> &completed = eng.portStats(0).completed;

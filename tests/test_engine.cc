@@ -672,11 +672,6 @@ TEST(Engine, ModeledSpeedupScalesWithWorkersOnBalancedLoad)
     EngineConfig cfg;
     cfg.workers = 4;
     cfg.timing = mem::MemTiming::embeddedDram(200.0, 6);
-    // Maintenance steps charge row ops to the workers' cycle accounts,
-    // which would inflate the makespan under the CARAM_MAINTENANCE leg
-    // and break the near-linear-speedup bound: pin it off (explicit
-    // config always beats the environment knob).
-    cfg.maintenance = false;
     ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     eng.submitBatch(stream);
@@ -1046,11 +1041,6 @@ TEST(Engine, ReportIsDeterministicAcrossRuns)
         auto sys = buildLoaded(4, 80);
         EngineConfig cfg;
         cfg.workers = 4;
-        // Background maintenance interleaves nondeterministically with
-        // the foreground stream, so its cycle charges would differ run
-        // to run: pin it off for the bit-equality check (explicit
-        // config always beats the CARAM_MAINTENANCE leg).
-        cfg.maintenance = false;
         ParallelSearchEngine eng(*sys, cfg);
         eng.start();
         eng.submitBatch(stream);
@@ -1204,70 +1194,6 @@ TEST(Engine, ResultCacheEntriesEnvReReadAtEachConstruction)
         setenv("CARAM_RESULT_CACHE_ENTRIES", saved.c_str(), 1);
     else
         unsetenv("CARAM_RESULT_CACHE_ENTRIES");
-}
-
-TEST(Engine, MaintenanceEnvReReadAtEachConstruction)
-{
-    // CARAM_MAINTENANCE must be consulted fresh by every engine
-    // construction, not latched process-wide by the first.
-    const char *old = std::getenv("CARAM_MAINTENANCE");
-    const std::string saved = old ? old : "";
-    const bool had = old != nullptr;
-    auto sys = buildLoaded(1, 10);
-    EngineConfig cfg;
-    cfg.workers = 1;
-    setenv("CARAM_MAINTENANCE", "1", 1);
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_TRUE(eng.resolvedMaintenance());
-    }
-    setenv("CARAM_MAINTENANCE", "0", 1);
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_FALSE(eng.resolvedMaintenance());
-    }
-    unsetenv("CARAM_MAINTENANCE");
-    {
-        ParallelSearchEngine eng(*sys, cfg);
-        EXPECT_FALSE(eng.resolvedMaintenance());
-    }
-    // An explicit config value always beats the environment --
-    // including an explicit false, which pins maintenance off (the
-    // differential harnesses rely on that under the forced leg).
-    setenv("CARAM_MAINTENANCE", "1", 1);
-    {
-        EngineConfig forced = cfg;
-        forced.maintenance = false;
-        ParallelSearchEngine eng(*sys, forced);
-        EXPECT_FALSE(eng.resolvedMaintenance());
-    }
-    {
-        EngineConfig forced = cfg;
-        forced.maintenance = true;
-        unsetenv("CARAM_MAINTENANCE");
-        ParallelSearchEngine eng(*sys, forced);
-        EXPECT_TRUE(eng.resolvedMaintenance());
-    }
-    // Inline mode has no background execution authority: the knob is
-    // ignored whatever its source.
-    setenv("CARAM_MAINTENANCE", "1", 1);
-    {
-        EngineConfig inline_cfg = cfg;
-        inline_cfg.workers = 0;
-        ParallelSearchEngine eng(*sys, inline_cfg);
-        EXPECT_FALSE(eng.resolvedMaintenance());
-    }
-    {
-        EngineConfig inline_forced = cfg;
-        inline_forced.workers = 0;
-        inline_forced.maintenance = true;
-        ParallelSearchEngine eng(*sys, inline_forced);
-        EXPECT_FALSE(eng.resolvedMaintenance());
-    }
-    if (had)
-        setenv("CARAM_MAINTENANCE", saved.c_str(), 1);
-    else
-        unsetenv("CARAM_MAINTENANCE");
 }
 
 TEST(Engine, ConcurrentMutationMixedOperationsMatchSerial)
@@ -1468,15 +1394,13 @@ executeSerially(CaRamSubsystem &sys, const std::vector<PortRequest> &stream)
 
 /** 3 workers over 6 ports with 4-deep queues: every submitBatch below is
  *  far larger than a queue, so each lands in segments against
- *  backpressure.  Maintenance is pinned off (it moves records, which
- *  changes bucketsAccessed). */
+ *  backpressure. */
 EngineConfig
 smallQueueConfig()
 {
     EngineConfig cfg;
     cfg.workers = 3;
     cfg.queueCapacity = 4;
-    cfg.maintenance = false;
     return cfg;
 }
 
@@ -1588,7 +1512,6 @@ TEST(Engine, BulkSubmitRollsBackWhatAStopLeftUnqueued)
     EngineConfig cfg;
     cfg.workers = 2;
     cfg.queueCapacity = 4;
-    cfg.maintenance = false;
     ParallelSearchEngine eng(*sys, cfg);
     const auto stream = searchStream(2, 10);
     std::size_t accepted = 0;
