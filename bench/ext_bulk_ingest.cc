@@ -1,7 +1,7 @@
 /**
  * @file
- * Extension: row-ordered bulk ingest and prefetch-driven batch search
- * on a DRAM-resident slice.
+ * Extension: row-ordered bulk ingest and the prefetch pipeline's
+ * search on a DRAM-resident slice.
  *
  * The table is sized well past the last-level cache (2^20 buckets x 4
  * slots of 64-bit keys, ~50 MB of row storage), so every row touch is
@@ -18,23 +18,23 @@
  *      loads easily exceed.)  Wall clock vs a serial insert() loop of
  *      the same records is reported alongside.
  *
- *   2. Batched search, bursty traffic (trains of 1..8 same-key
- *      lookups, ~60% hits): searchBatch groups same-home keys, shares
- *      row fetches, and prefetches each group's rows ahead of the
- *      compare; wall clock vs a serial search() loop is reported.
+ *   2. Pipelined search, bursty traffic (trains of 1..8 same-key
+ *      lookups, ~60% hits): a serial search() loop against the same
+ *      loop issuing prefetchHome(stream[i + 4]) before each search --
+ *      the engine's prefetch pipeline (DESIGN.md section 4c), which
+ *      overlaps the row misses of consecutive lookups.
  *
- *   3. Batched search, uniform traffic (no sharing to find): the
- *      grouping work must not cost more than 5% wall clock vs the
- *      serial loop -- the software-prefetch overlap usually pays for
- *      it outright.  This gate is always enforced.
+ *   3. The same comparison on uniform traffic.
  *
- * The modeled gates (row-op reduction, bit-identity, uniform overhead)
- * are deterministic and always enforced.  The wall-clock *speedup*
- * gates (bulk load >= 1.5x, bursty search >= 1.2x) need a host whose
- * memory system the table genuinely exceeds; on a machine whose LLC
- * swallows the ~47 MB table (CI's Xeon slice advertises a 260 MB L3)
- * the DRAM-latency overlap shrinks into run-to-run noise, so those two
- * gates are opt-in via CARAM_BENCH_WALL=1.
+ * The deterministic gates (row-op reduction, bit-identical pipelined
+ * results) are always enforced.  The pipeline's wall ratios are
+ * reported as info lines, and one wall gate with a 25% margin is
+ * enforced: on uniform traffic the pipelined loop may not run slower
+ * than 1.25x the serial one.  The bulk-load wall speedup gate
+ * (>= 1.5x) needs a host whose memory system the table genuinely
+ * exceeds; on a machine whose LLC swallows the ~47 MB table (CI's Xeon
+ * slice advertises a 260 MB L3) the DRAM-latency overlap shrinks into
+ * run-to-run noise, so it is opt-in via CARAM_BENCH_WALL=1.
  *
  * Emits BENCH_bulk_ingest.json.  Usage:
  *
@@ -51,7 +51,6 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -136,41 +135,52 @@ searchStream(const std::vector<Record> &loaded, std::size_t count,
     return out;
 }
 
+/** Lookups ahead of the current one that the pipeline hints (the
+ *  engine's distance). */
+constexpr std::size_t kHintAhead = 4;
+
 struct SearchComparison
 {
     double serialSeconds = 0.0;
-    double batchSeconds = 0.0;
+    double pipelinedSeconds = 0.0;
     uint64_t hits = 0;
     bool identical = true;
-    double speedup() const { return serialSeconds / batchSeconds; }
+    double speedup() const { return serialSeconds / pipelinedSeconds; }
 };
 
 SearchComparison
 compareSearch(CaRamSlice &slice, const std::vector<Key> &stream)
 {
     // Best of three interleaved passes per path: a shared host's
-    // scheduling jitter otherwise dominates the few-percent margins
-    // the uniform-overhead gate cares about.
+    // scheduling jitter otherwise dominates the margins the ratios
+    // care about.
     SearchComparison cmp;
     cmp.serialSeconds = 1e30;
-    cmp.batchSeconds = 1e30;
-    std::vector<SearchResult> serial(stream.size());
-    std::vector<SearchResult> batched(stream.size());
+    cmp.pipelinedSeconds = 1e30;
+    const std::size_t n = stream.size();
+    std::vector<SearchResult> serial(n);
+    std::vector<SearchResult> pipelined(n);
     for (int rep = 0; rep < 3; ++rep) {
         auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t i = 0; i < stream.size(); ++i)
+        for (std::size_t i = 0; i < n; ++i)
             serial[i] = slice.search(stream[i]);
-        cmp.serialSeconds = std::min(cmp.serialSeconds, bench::secondsSince(t0));
+        cmp.serialSeconds =
+            std::min(cmp.serialSeconds, bench::secondsSince(t0));
 
         t0 = std::chrono::steady_clock::now();
-        slice.searchBatch(std::span<const Key>(stream), batched.data());
-        cmp.batchSeconds = std::min(cmp.batchSeconds, bench::secondsSince(t0));
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i + kHintAhead < n)
+                slice.prefetchHome(stream[i + kHintAhead]);
+            pipelined[i] = slice.search(stream[i]);
+        }
+        cmp.pipelinedSeconds =
+            std::min(cmp.pipelinedSeconds, bench::secondsSince(t0));
     }
-    for (std::size_t i = 0; i < stream.size(); ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
         cmp.hits += serial[i].hit ? 1 : 0;
-        if (serial[i].hit != batched[i].hit ||
-            serial[i].data != batched[i].data ||
-            serial[i].bucketsAccessed != batched[i].bucketsAccessed)
+        if (serial[i].hit != pipelined[i].hit ||
+            serial[i].data != pipelined[i].data ||
+            serial[i].bucketsAccessed != pipelined[i].bucketsAccessed)
             cmp.identical = false;
     }
     return cmp;
@@ -195,7 +205,7 @@ main(int argc, char **argv)
             nrecords = std::strtoull(argv[i], nullptr, 10);
     }
 
-    std::cout << "=== Extension: row-ordered bulk ingest + batched "
+    std::cout << "=== Extension: row-ordered bulk ingest + pipelined "
                  "search (DRAM-resident) ===\n\n";
     {
         const SliceConfig cfg = dramResidentConfig();
@@ -248,8 +258,9 @@ main(int argc, char **argv)
     if (sum.accepted != serial_accepted)
         std::cout << "WARNING: accepted-count mismatch vs serial\n";
 
-    // --- 2. + 3. batched search: bursty then uniform traffic ---
-    std::cout << "\n--- batched search vs serial loop ---\n\n";
+    // --- 2. + 3. pipelined search: bursty then uniform traffic ---
+    std::cout << "\n--- search with prefetchHome " << kHintAhead
+              << " ahead vs serial loop ---\n\n";
     const std::vector<Key> bursty =
         searchStream(records, nrecords, 8, 55);
     const std::vector<Key> uniform =
@@ -257,21 +268,19 @@ main(int argc, char **argv)
     const SearchComparison bc = compareSearch(*slice, bursty);
     const SearchComparison uc = compareSearch(*slice, uniform);
 
-    TextTable st({"traffic", "serial s", "batch s", "speedup",
+    TextTable st({"traffic", "serial s", "pipelined s", "speedup",
                   "hit rate", "results"});
     st.addRow({"bursty trains 1..8", fixed(bc.serialSeconds, 2),
-               fixed(bc.batchSeconds, 2), fixed(bc.speedup(), 2) + "x",
+               fixed(bc.pipelinedSeconds, 2),
+               fixed(bc.speedup(), 2) + "x",
                percent(static_cast<double>(bc.hits) / bursty.size()),
                bc.identical ? "identical" : "DIFF"});
     st.addRow({"uniform", fixed(uc.serialSeconds, 2),
-               fixed(uc.batchSeconds, 2), fixed(uc.speedup(), 2) + "x",
+               fixed(uc.pipelinedSeconds, 2),
+               fixed(uc.speedup(), 2) + "x",
                percent(static_cast<double>(uc.hits) / uniform.size()),
                uc.identical ? "identical" : "DIFF"});
     st.print(std::cout);
-    std::cout << "\nsort-skip: " << slice->batchSortsSkipped() << " of "
-              << slice->batchChunksProcessed()
-              << " chunks arrived run-ordered (O(n) pre-scan, no "
-                 "sort)\n";
 
     // --- JSON + gates ---
     std::ostringstream json;
@@ -281,7 +290,7 @@ main(int argc, char **argv)
          << ",\n  \"ingest_wall_speedup\": " << fixed(ingest_speedup, 2)
          << ",\n  \"search_bursty_speedup\": " << fixed(bc.speedup(), 2)
          << ",\n  \"search_uniform_ratio\": "
-         << fixed(uc.batchSeconds / uc.serialSeconds, 3) << "\n}\n";
+         << fixed(uc.pipelinedSeconds / uc.serialSeconds, 3) << "\n}\n";
     std::ofstream(json_path) << json.str();
 
     bench::Gates gates;
@@ -299,15 +308,17 @@ main(int argc, char **argv)
     wall_gate(ingest_speedup >= 1.5,
               fixed(ingest_speedup, 2) +
                   "x wall-clock bulk-load speedup (>= 1.5x)");
-    wall_gate(bc.speedup() >= 1.2,
-              fixed(bc.speedup(), 2) +
-                  "x wall-clock batched-search speedup on bursty "
-                  "traffic (>= 1.2x)");
-    gate(uc.batchSeconds <= uc.serialSeconds * 1.05,
-         "batched search on uniform traffic within 5% of serial (" +
-             fixed(uc.batchSeconds / uc.serialSeconds, 3) + "x)");
+    gates.info(fixed(bc.speedup(), 2) +
+               "x wall-clock pipelined-search speedup on bursty traffic");
+    gates.info(fixed(uc.speedup(), 2) +
+               "x wall-clock pipelined-search speedup on uniform "
+               "traffic");
+    gate(uc.pipelinedSeconds <= uc.serialSeconds * 1.25,
+         "pipelined search on uniform traffic no slower than 1.25x "
+         "serial (" +
+             fixed(uc.pipelinedSeconds / uc.serialSeconds, 3) + "x)");
     gate(bc.identical && uc.identical,
-         "batched results bit-identical to the serial loop");
+         "pipelined results bit-identical to the serial loop");
 
     if (!baseline_path.empty()) {
         const std::string base = bench::readFile(baseline_path);

@@ -16,18 +16,12 @@
  * numbers are reported alongside.  Per-port result streams of every
  * engine run are verified bit-identical to the serial drain's.
  *
- * A second sweep drives the engine's batched multi-key pipeline
- * (EngineConfig::batchSize) with bursty traffic -- packet trains of
- * 1..8 back-to-back same-key requests per port -- where grouped
- * lookups share row fetches and the modeled cycle count (and thus
- * Msps) improves accordingly.
- *
- * A third section runs 90/10 read/write traffic, with each port's
+ * A second section runs 90/10 read/write traffic, with each port's
  * owning worker executing its mutations in place, next to the
  * read-only stream (informational: the search share of the mixed
  * makespan against read-only).
  *
- * A fourth section sweeps Zipf-skewed hot-key traffic (s in {0, 0.8,
+ * A third section sweeps Zipf-skewed hot-key traffic (s in {0, 0.8,
  * 0.99, 1.2}) through the lock-free result cache
  * (EngineConfig::resultCacheEntries): hit rate, modeled Msps uplift
  * over the uncached engine, tail latency, and the invalidation cost of
@@ -135,50 +129,6 @@ buildStream(std::size_t searches_per_port)
             stream.push_back(std::move(req));
         }
     }
-    return stream;
-}
-
-/**
- * Bursty request stream: per port, packet trains of 1..8 back-to-back
- * requests for the same key (~60% hit traffic), ports interleaved.
- * Consecutive same-port searches are what the engine's batched
- * pipeline groups into shared row fetches.
- */
-std::vector<PortRequest>
-buildBurstyStream(std::size_t searches_per_port)
-{
-    std::vector<std::vector<uint64_t>> loaded(kPorts);
-    Rng rng(12345);
-    for (unsigned p = 0; p < kPorts; ++p)
-        for (uint64_t i = 0; i < kRecordsPerDb; ++i)
-            loaded[p].push_back(rng.next64() & 0xffffffffu);
-
-    std::vector<std::vector<PortRequest>> per(kPorts);
-    Rng pick(4242);
-    for (unsigned p = 0; p < kPorts; ++p) {
-        while (per[p].size() < searches_per_port) {
-            const uint64_t v = pick.chance(0.6)
-                ? loaded[p][pick.below(loaded[p].size())]
-                : pick.next64() & 0xffffffffu;
-            const std::size_t train = 1 + pick.below(8);
-            for (std::size_t c = 0;
-                 c < train && per[p].size() < searches_per_port; ++c) {
-                PortRequest req;
-                req.port = p;
-                req.op = PortOp::Search;
-                req.key = Key::fromUint(v, kKeyBits);
-                per[p].push_back(std::move(req));
-            }
-        }
-    }
-    std::vector<PortRequest> stream;
-    stream.reserve(searches_per_port * kPorts);
-    uint64_t tag = 0;
-    for (std::size_t i = 0; i < searches_per_port; ++i)
-        for (unsigned p = 0; p < kPorts; ++p) {
-            per[p][i].tag = ++tag;
-            stream.push_back(std::move(per[p][i]));
-        }
     return stream;
 }
 
@@ -494,71 +444,6 @@ main(int argc, char **argv)
         "cycles per bucket\naccess, independent controllers "
         "concurrent (the paper's per-bank model);\nwall Msps: host "
         "throughput, bounded by the physical cores of this machine.\n";
-    // --- the batched multi-key pipeline: batch-width sweep on bursty
-    // traffic ---
-    std::cout << "\n--- batched multi-key pipeline (bursty packet "
-                 "trains, 4 workers) ---\n\n";
-    const std::vector<PortRequest> bursty = buildBurstyStream(per_port);
-    SerialRun burstyRef;
-    {
-        auto sys = buildSubsystem(/*split=*/false, 4096);
-        burstyRef = runSerial(*sys, bursty, timing);
-    }
-    TextTable bt({"batch", "modeled Msps", "gain vs batch=1",
-                  "row fetches/search", "wall Msps", "results"});
-    double batch_base_msps = 0.0;
-    double batch_gain = 0.0;
-    for (unsigned batch : {1u, 8u, 32u}) {
-        auto sys = buildSubsystem(/*split=*/true, 4096);
-        engine::EngineConfig cfg;
-        cfg.workers = 4;
-        cfg.queueCapacity = 4096;
-        cfg.timing = timing;
-        cfg.batchSize = batch;
-        cfg.resultCacheEntries = 0;
-        engine::ParallelSearchEngine eng(*sys, cfg);
-        eng.start();
-        eng.submitBatch(bursty);
-        eng.drain();
-        const engine::EngineReport rep = eng.report();
-
-        uint64_t mismatches = 0;
-        uint64_t modeled_cycles = 0;
-        for (unsigned p = 0; p < kPorts; ++p) {
-            modeled_cycles += eng.portStats(p).modeledCycles;
-            std::size_t i = 0;
-            while (auto r = eng.fetchResult(p)) {
-                if (i >= burstyRef.perPort[p].size() ||
-                    !sameResponse(*r, burstyRef.perPort[p][i]))
-                    ++mismatches;
-                ++i;
-            }
-            if (i != burstyRef.perPort[p].size())
-                ++mismatches;
-        }
-        if (batch == 1)
-            batch_base_msps = rep.modeledMsps;
-        const double gain = batch_base_msps > 0.0
-            ? rep.modeledMsps / batch_base_msps
-            : 0.0;
-        if (batch == 32)
-            batch_gain = gain;
-        const double fetches_per_search =
-            static_cast<double>(modeled_cycles) /
-            std::max(1u, timing.minCycleGap) / bursty.size();
-        bt.addRow({std::to_string(batch), fixed(rep.modeledMsps, 2),
-                   fixed(gain, 2) + "x", fixed(fetches_per_search, 3),
-                   fixed(rep.wallMsps, 2),
-                   mismatches == 0 ? "identical"
-                                   : withCommas(mismatches) + " diffs"});
-        eng.stop();
-    }
-    bt.print(std::cout);
-    std::cout <<
-        "\nbatch = max consecutive same-port searches grouped into one "
-        "multi-key lookup;\ngrouped keys sharing a home row share its "
-        "fetches, shrinking modeled cycles.\n";
-
     // --- mutations in place: mixed 90/10 read/write traffic ---
     std::cout << "\n--- mutations in place (90/10 read/write, "
                  "4 workers) ---\n\n";
@@ -803,10 +688,6 @@ main(int argc, char **argv)
          fixed(speedup_at_4, 2) +
              "x aggregate modeled throughput at 4 workers (>= 3x "
              "target)");
-    gate(batch_gain >= 1.5,
-         fixed(batch_gain, 2) +
-             "x modeled throughput from batch=32 on bursty traffic "
-             "(>= 1.5x target)");
     gates.info("mixed 90/10 search share " +
                fixed(mixed_search_msps, 2) + " Msps with mutations in "
                "place, " +

@@ -26,11 +26,8 @@
  *
  * A second section sweeps the comparator *kernels* (scalar / AVX2 /
  * AVX-512, core/match_kernels.h) on the 144-bit ternary workload: the
- * per-key packed path under each kernel (vector lanes hold slots), the
- * multi-key group path (kMaxGroupKeys keys sharing each row fetch;
- * vector lanes hold keys), and the batched slice search over bursty
- * traffic (see EXPERIMENTS.md).  All kernel/group/batch result streams
- * are checksummed against the scalar per-key stream.
+ * per-key packed path under each kernel (vector lanes hold slots).
+ * Every kernel's result stream is checksummed against the scalar one.
  *
  * Emits BENCH_match_path.json and BENCH_simd_batch.json.  Usage:
  *
@@ -40,7 +37,7 @@
  *                    [--simd-json PATH] [--simd-baseline PATH]
  *
  * With --baseline / --simd-baseline, exits nonzero when any variant's
- * ns/lookup (respectively any kernel's per-key or group ns/key)
+ * ns/lookup (respectively any kernel's per-key ns/key)
  * exceeds the baseline's by more than X (default 2.0) -- the CI smoke
  * gate (scripts/ci_bench_smoke.sh).  --kernel restricts the kernel
  * sweep (and pins the main section's slices) to one kernel.
@@ -56,9 +53,7 @@
 #include <string>
 #include <vector>
 
-#include <array>
 #include <optional>
-#include <span>
 
 #include "cam/priority_encoder.h"
 #include "common/bitops.h"
@@ -343,19 +338,14 @@ measure(const Variant &v, std::size_t lookups)
 }
 
 // ---------------------------------------------------------------------
-// Kernel sweep: per-key packed path, multi-key group path and batched
-// slice search under each comparator kernel, on the 144-bit ternary
-// workload.
+// Kernel sweep: the per-key packed path under each comparator kernel,
+// on the 144-bit ternary workload.
 
 struct KernelMeasurement
 {
     simd::MatchKernel kernel = simd::MatchKernel::Scalar;
-    double perKeyNs = 0.0;      ///< packed per-key bucket search, ns/key
-    double groupNs = 0.0;       ///< multi-key group search, ns/key
-    double batchSerialNs = 0.0; ///< slice.search() loop, ns/key
-    double batchNs = 0.0;       ///< slice.searchBatch(), ns/key
-    double fetchReduction = 0.0; ///< serial row accesses / batch fetches
-    uint64_t checksum = 0;       ///< per-key bucket stream checksum
+    double perKeyNs = 0.0; ///< packed per-key bucket search, ns/key
+    uint64_t checksum = 0; ///< per-key bucket stream checksum
 };
 
 uint64_t
@@ -383,122 +373,37 @@ measureKernel(simd::MatchKernel kernel, std::size_t lookups)
     const SliceConfig &cfg = slice.config();
     MatchProcessor mp(cfg);
 
-    // Bucket-level streams: groups of kMaxGroupKeys packed keys, each
-    // group evaluated against one random row -- per-key vs group path.
-    constexpr unsigned G = kernels::kMaxGroupKeys;
-    const std::size_t groups = std::max<std::size_t>(1, lookups / G);
-    std::vector<MatchProcessor::PackedKey> packed(groups * G);
-    std::vector<uint64_t> rows(groups);
+    // Runs of kKeysPerRow packed keys, each run evaluated against one
+    // random row.
+    constexpr unsigned kKeysPerRow = 8;
+    const std::size_t runs = std::max<std::size_t>(1, lookups / kKeysPerRow);
+    std::vector<MatchProcessor::PackedKey> packed(runs * kKeysPerRow);
+    std::vector<uint64_t> rows(runs);
     Rng rng(0x5eed);
-    for (std::size_t g = 0; g < groups; ++g) {
+    for (std::size_t g = 0; g < runs; ++g) {
         rows[g] = rng.below(cfg.rows());
-        for (unsigned k = 0; k < G; ++k)
+        for (unsigned k = 0; k < kKeysPerRow; ++k)
             mp.pack(w.stream[rng.below(w.stream.size())],
-                    packed[g * G + k]);
+                    packed[g * kKeysPerRow + k]);
     }
 
     constexpr int kRepeats = 3;
-    uint64_t perkey_sum = 0, group_sum = 0;
     km.perKeyNs = 1e18;
-    km.groupNs = 1e18;
     for (int rep = 0; rep < kRepeats; ++rep) {
         uint64_t psum = 0;
-        auto t0 = std::chrono::steady_clock::now();
-        for (std::size_t g = 0; g < groups; ++g) {
+        const auto t0 = std::chrono::steady_clock::now();
+        for (std::size_t g = 0; g < runs; ++g) {
             BucketView b = slice.bucket(rows[g]);
-            for (unsigned k = 0; k < G; ++k)
+            for (unsigned k = 0; k < kKeysPerRow; ++k)
                 psum = bucketChecksum(
-                    psum, mp.searchBucketPacked(b, packed[g * G + k]));
+                    psum,
+                    mp.searchBucketPacked(b, packed[g * kKeysPerRow + k]));
         }
-        km.perKeyNs = std::min(
-            km.perKeyNs, bench::secondsSince(t0) * 1e9 / (groups * G));
-
-        uint64_t gsum = 0;
-        MatchProcessor::PackedKeyGroup group;
-        std::array<const MatchProcessor::PackedKey *, G> ptrs;
-        std::array<BucketMatch, G> out;
-        t0 = std::chrono::steady_clock::now();
-        for (std::size_t g = 0; g < groups; ++g) {
-            BucketView b = slice.bucket(rows[g]);
-            for (unsigned k = 0; k < G; ++k)
-                ptrs[k] = &packed[g * G + k];
-            mp.packGroup(ptrs.data(), G, group);
-            mp.searchBucketKeys(b, group, (1u << G) - 1, out.data());
-            for (unsigned k = 0; k < G; ++k)
-                gsum = bucketChecksum(gsum, out[k]);
-        }
-        km.groupNs = std::min(km.groupNs,
-                              bench::secondsSince(t0) * 1e9 / (groups * G));
-        perkey_sum = psum;
-        group_sum = gsum;
+        km.perKeyNs = std::min(km.perKeyNs,
+                               bench::secondsSince(t0) * 1e9 /
+                                   (runs * kKeysPerRow));
+        km.checksum = psum;
     }
-    if (perkey_sum != group_sum)
-        fatal(strprintf("%s: per-key and group result streams differ "
-                        "(checksum %llx vs %llx)",
-                        simd::kernelName(kernel),
-                        (unsigned long long)perkey_sum,
-                        (unsigned long long)group_sum));
-    km.checksum = perkey_sum;
-
-    // Slice-level batched search over bursty (Zipf + packet-train)
-    // traffic: repeated keys land in the same chunk and share their
-    // chain walks.  Train lengths 1..kMaxGroupKeys model back-to-back
-    // same-flow packets, the traffic the batched pipeline targets; on
-    // uniform single-packet traffic grouping rarely triggers and the
-    // batch path only costs its bookkeeping.
-    std::vector<Key> bursts;
-    bursts.reserve(lookups);
-    ZipfStream zipf(w.stream.size(), 1.1);
-    while (bursts.size() < lookups) {
-        const Key &k = w.stream[zipf.next(rng)];
-        const std::size_t train = 1 + rng.below(G);
-        for (std::size_t c = 0; c < train && bursts.size() < lookups;
-             ++c)
-            bursts.push_back(k);
-    }
-    std::vector<SearchResult> results(bursts.size());
-    uint64_t serial_sum = 0, batch_sum = 0, serial_accesses = 0;
-    uint64_t fetches = 0;
-    km.batchSerialNs = 1e18;
-    km.batchNs = 1e18;
-    for (int rep = 0; rep < kRepeats; ++rep) {
-        uint64_t ssum = 0, acc = 0;
-        auto t0 = std::chrono::steady_clock::now();
-        for (const Key &k : bursts) {
-            const SearchResult r = slice.search(k);
-            ssum = resultChecksum(ssum, r);
-            acc += r.bucketsAccessed;
-        }
-        km.batchSerialNs = std::min(
-            km.batchSerialNs, bench::secondsSince(t0) * 1e9 / bursts.size());
-
-        uint64_t bsum = 0, f = 0;
-        t0 = std::chrono::steady_clock::now();
-        for (std::size_t lo = 0; lo < bursts.size();
-             lo += CaRamSlice::kMaxBatch) {
-            const std::size_t n = std::min<std::size_t>(
-                CaRamSlice::kMaxBatch, bursts.size() - lo);
-            f += slice.searchBatch(
-                std::span<const Key>(bursts.data() + lo, n),
-                results.data() + lo);
-        }
-        for (const SearchResult &r : results)
-            bsum = resultChecksum(bsum, r);
-        km.batchNs = std::min(km.batchNs,
-                              bench::secondsSince(t0) * 1e9 / bursts.size());
-        serial_sum = ssum;
-        batch_sum = bsum;
-        serial_accesses = acc;
-        fetches = f;
-    }
-    if (serial_sum != batch_sum)
-        fatal(strprintf("%s: serial and batched result streams differ "
-                        "(checksum %llx vs %llx)",
-                        simd::kernelName(kernel),
-                        (unsigned long long)serial_sum,
-                        (unsigned long long)batch_sum));
-    km.fetchReduction =
-        fetches ? static_cast<double>(serial_accesses) / fetches : 0.0;
     return km;
 }
 
@@ -659,7 +564,7 @@ main(int argc, char **argv)
     }
 
     // -----------------------------------------------------------------
-    // Kernel sweep: multi-key group match + batched slice search.
+    // Kernel sweep: the per-key packed path under each kernel.
 
     std::vector<simd::MatchKernel> kernels_to_run;
     for (simd::MatchKernel k :
@@ -671,16 +576,10 @@ main(int argc, char **argv)
             kernels_to_run.push_back(k);
     }
 
-    std::cout << "\n=== Kernel sweep: multi-key group match + batched "
-                 "slice search (ternary-144) ===\n\n";
-    std::cout << "group = " << core::kernels::kMaxGroupKeys
-              << " keys amortizing each row fetch; batch = bursty "
-                 "Zipf traffic through searchBatch (chunk "
-              << CaRamSlice::kMaxBatch << ")\n\n";
+    std::cout << "\n=== Kernel sweep: per-key packed match "
+                 "(ternary-144) ===\n\n";
 
-    TextTable kt({"kernel", "per-key ns", "group ns/key", "group gain",
-                  "serial ns", "batch ns/key", "batch gain",
-                  "fetch reduction"});
+    TextTable kt({"kernel", "per-key ns", "vs scalar"});
     std::vector<KernelMeasurement> kms;
     for (simd::MatchKernel k : kernels_to_run)
         kms.push_back(measureKernel(k, lookups));
@@ -699,24 +598,13 @@ main(int argc, char **argv)
 
     std::ostringstream sj;
     sj << "{\n  \"bench\": \"simd_batch\",\n  \"lookups\": " << lookups
-       << ",\n  \"group_keys\": " << core::kernels::kMaxGroupKeys
        << ",\n  \"kernels\": [\n";
-    double avx2_group_speedup = 0.0;
     bool sj_first = true;
     for (const KernelMeasurement &km : kms) {
-        // The acceptance ratio: this kernel's grouped path against the
-        // *scalar per-key* path, the pre-batching serial cost.
-        const double group_gain =
-            scalar_km ? scalar_km->perKeyNs / km.groupNs
-                      : km.perKeyNs / km.groupNs;
-        const double batch_gain = km.batchSerialNs / km.batchNs;
-        if (km.kernel == simd::MatchKernel::Avx2)
-            avx2_group_speedup = group_gain;
         kt.addRow({simd::kernelName(km.kernel), fixed(km.perKeyNs, 1),
-                   fixed(km.groupNs, 1), fixed(group_gain, 2) + "x",
-                   fixed(km.batchSerialNs, 1), fixed(km.batchNs, 1),
-                   fixed(batch_gain, 2) + "x",
-                   fixed(km.fetchReduction, 2) + "x"});
+                   scalar_km ? fixed(scalar_km->perKeyNs / km.perKeyNs,
+                                     2) + "x"
+                             : "-"});
         if (!sj_first)
             sj << ",\n";
         sj_first = false;
@@ -724,24 +612,12 @@ main(int argc, char **argv)
            << "      \"name\": \"" << simd::kernelName(km.kernel)
            << "\",\n"
            << "      \"perkey_ns_per_key\": " << fixed(km.perKeyNs, 2)
-           << ",\n"
-           << "      \"group_ns_per_key\": " << fixed(km.groupNs, 2)
-           << ",\n"
-           << "      \"group_speedup_vs_scalar_perkey\": "
-           << fixed(group_gain, 2) << ",\n"
-           << "      \"batch_serial_ns_per_key\": "
-           << fixed(km.batchSerialNs, 2) << ",\n"
-           << "      \"batch_ns_per_key\": " << fixed(km.batchNs, 2)
-           << ",\n"
-           << "      \"batch_speedup\": " << fixed(batch_gain, 2)
-           << ",\n"
-           << "      \"fetch_reduction\": "
-           << fixed(km.fetchReduction, 2) << "\n    }";
+           << "\n    }";
     }
     sj << "\n  ]\n}\n";
     kt.print(std::cout);
-    std::cout << "\nresult streams: group and batch checksums identical "
-                 "to the per-key path on every kernel\n";
+    std::cout << "\nresult streams: every kernel's checksum identical "
+                 "to the scalar kernel's\n";
 
     std::ofstream sout(simd_json_path);
     sout << sj.str();
@@ -761,43 +637,24 @@ main(int argc, char **argv)
                   << simd_baseline_path << ") ---\n";
         for (const KernelMeasurement &km : kms) {
             const std::string name = simd::kernelName(km.kernel);
-            for (const char *path : {"perkey", "group"}) {
-                const std::string field =
-                    std::string(path) + "_ns_per_key";
-                const double ref =
-                    bench::baselineField(base, name, field);
-                const double cur =
-                    bench::baselineField(current, name, field);
-                if (ref <= 0.0) {
-                    std::cout << "FAIL: no baseline entry for " << name
-                              << " " << field << "\n";
-                    rc = 1;
-                    continue;
-                }
-                const double ratio = cur / ref;
-                const bool ok = ratio <= max_regression;
-                std::cout << (ok ? "ok  " : "FAIL") << "  " << name
-                          << " " << path << ": " << fixed(cur, 1)
-                          << " ns vs baseline " << fixed(ref, 1)
-                          << " ns (" << fixed(ratio, 2) << "x)\n";
-                if (!ok)
-                    rc = 1;
+            const std::string field = "perkey_ns_per_key";
+            const double ref = bench::baselineField(base, name, field);
+            const double cur = bench::baselineField(current, name, field);
+            if (ref <= 0.0) {
+                std::cout << "FAIL: no baseline entry for " << name << " "
+                          << field << "\n";
+                rc = 1;
+                continue;
             }
+            const double ratio = cur / ref;
+            const bool ok = ratio <= max_regression;
+            std::cout << (ok ? "ok  " : "FAIL") << "  " << name
+                      << " perkey: " << fixed(cur, 1)
+                      << " ns vs baseline " << fixed(ref, 1) << " ns ("
+                      << fixed(ratio, 2) << "x)\n";
+            if (!ok)
+                rc = 1;
         }
-    }
-
-    if (!scalar_km ||
-        std::find(kernels_to_run.begin(), kernels_to_run.end(),
-                  simd::MatchKernel::Avx2) == kernels_to_run.end()) {
-        std::cout << "\nskip: the AVX2 group-match ratio needs both "
-                     "the scalar and avx2 kernels in the sweep\n";
-    } else {
-        // A wall-clock ratio with no margin: it read 1.25-2.73x over
-        // repeated runs of unchanged matcher code, so it is reported,
-        // not gated.  The checksums above gate the group path.
-        std::cout << "\ninfo: avx2 multi-key group match "
-                  << fixed(avx2_group_speedup, 2)
-                  << "x vs scalar per-key (2x target, wall clock)\n";
     }
     return rc;
 }

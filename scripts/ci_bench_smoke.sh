@@ -6,17 +6,17 @@
 # 5x speedup target on the 144-bit ternary workload.
 #
 # The kernel sweep section additionally compares each kernel's per-key
-# and group ns/key against the SIMD baseline, and reports the AVX2
-# multi-key group match's speedup over the scalar per-key path as an
-# info line (a wall-clock ratio with no margin; not gated).
+# ns/key against the SIMD baseline and checks every kernel's result
+# stream against the scalar kernel's.
 #
 # The bulk-ingest section runs ext_bulk_ingest, which self-gates on
-# the modeled row-op reduction (>= 4x on bursty traffic), on batched
-# search staying within 5% of serial on uniform traffic, and on
-# bit-identity of batched results; its row-op reduction is also
-# compared against the checked-in baseline.  Wall-clock speedup gates
-# are opt-in via CARAM_BENCH_WALL=1 because the CI host's LLC swallows
-# the working set (the numbers print as info lines either way).
+# the modeled row-op reduction (>= 4x on bursty traffic), on search
+# behind prefetchHome() hints (the engine's prefetch pipeline) running
+# no slower than 1.25x the serial loop on uniform traffic, and on
+# bit-identity of the pipelined results; its row-op reduction is also
+# compared against the checked-in baseline.  The pipeline's speedups
+# print as info lines; the bulk-load wall speedup gate is opt-in via
+# CARAM_BENCH_WALL=1 because the CI host's LLC swallows the working set.
 #
 # The row fan-out section runs ext_row_fanout, which self-gates on the
 # modeled-cycle reduction of intra-lookup shard fan-out (>= 2x at 32
@@ -25,7 +25,7 @@
 # against the checked-in baseline.
 #
 # The result-cache section runs ext_parallel_engine, which self-gates
-# on the engine speedup/batching targets and on the hot-key result
+# on the engine's modeled speedup target and on the hot-key result
 # cache: >= 60% hit rate and >= 1.5x modeled uplift at Zipf s=0.99,
 # bit-identical cached result streams, mixed 90/10 churn with the cache
 # on keeping its search share within 10% of the read-only throughput,

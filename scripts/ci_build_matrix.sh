@@ -10,9 +10,9 @@
 #      caller is kernel-agnostic).
 #
 # The kernel-forced equivalence suites (KernelForcedEquivalence,
-# MultiKeyForced, BatchSearchEquivalence) additionally pin each
-# available kernel per test, so leg 2 plus the default ctest run cover
-# every dispatch combination the host supports.
+# EqualityForced) additionally pin each available kernel per test, so
+# leg 2 plus the default ctest run cover every dispatch combination
+# the host supports.
 #
 #   3. The SIMD build rerun with CARAM_ROW_FANOUT_MIN=1: every engine
 #      whose config leaves rowFanoutMin at 0 now fans out EVERY

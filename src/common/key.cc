@@ -196,14 +196,23 @@ Key::setBitAt(unsigned p, bool value_bit, bool care_bit)
 bool
 Key::fullySpecified() const
 {
-    return carePopcount() == width;
+    // Care bits beyond the width are always zero (normalize()), so the
+    // key is fully specified exactly when every word the width covers
+    // holds its all-ones mask.
+    const unsigned full = width / 64;
+    for (unsigned w = 0; w < full; ++w) {
+        if (care[w] != ~uint64_t{0})
+            return false;
+    }
+    return width % 64 == 0 || care[full] == maskBits(width % 64);
 }
 
 unsigned
 Key::carePopcount() const
 {
+    // Only the words the width covers can hold care bits.
     unsigned n = 0;
-    for (unsigned w = 0; w < kWords; ++w)
+    for (unsigned w = 0; w * 64 < width; ++w)
         n += static_cast<unsigned>(std::popcount(care[w]));
     return n;
 }

@@ -340,21 +340,6 @@ Database::search(const Key &search_key)
     return result;
 }
 
-uint64_t
-Database::searchBatch(const Key *const *keys, unsigned n,
-                      SearchResult *out)
-{
-    checkAccessible();
-    uint64_t fetches = slice_->searchBatch(keys, n, out);
-    if (overflow_ || overflowSlice_) {
-        // The overflow area is searched per key (it is small and keyed
-        // independently); its slice accesses are genuine row fetches.
-        for (unsigned i = 0; i < n; ++i)
-            mergeOverflow(*keys[i], out[i], fetches);
-    }
-    return fetches;
-}
-
 unsigned
 Database::erase(const Key &key)
 {

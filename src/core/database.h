@@ -175,14 +175,16 @@ class Database
     SearchResult search(const Key &search_key);
 
     /**
-     * Batched lookup: out[i] identical to search(*keys[i]) for every
-     * key (see CaRamSlice::searchBatch for the grouping and fallback
-     * rules).  Returns the row fetches the batched execution performs
-     * -- the amortized cost the batch cost model charges, as opposed to
-     * the serial-equivalent per-key bucketsAccessed in @p out.
+     * Prefetch hint for an operation on @p key that is about to run
+     * (CaRamSlice::prefetchHome on the main slice); a no-op unless the
+     * database is Active.
      */
-    uint64_t searchBatch(const Key *const *keys, unsigned n,
-                         SearchResult *out);
+    void
+    prefetchHome(const Key &key) const
+    {
+        if (powerState() == PowerState::Active)
+            slice_->prefetchHome(key);
+    }
 
     /**
      * Fold the parallel overflow area's verdict into a main-slice
@@ -344,8 +346,8 @@ class Database
     void checkAccessible() const;
 
     /** Fold the parallel overflow area's verdict into @p result (the
-     *  shared tail of search()/searchBatch()); adds any overflow-slice
-     *  row accesses to @p overflow_fetches. */
+     *  shared tail of search() and mergeOverflowResult()); adds any
+     *  overflow-slice row accesses to @p overflow_fetches. */
     void mergeOverflow(const Key &search_key, SearchResult &result,
                        uint64_t &overflow_fetches);
 

@@ -1,7 +1,6 @@
 #include "core/match_kernels.h"
 
 #include <algorithm>
-#include <bit>
 
 #if defined(CARAM_X86_SIMD)
 #include <immintrin.h>
@@ -277,147 +276,6 @@ slotMatchAvx2(const SlotLayout &L, const SlotArgs &a)
 
 #endif // CARAM_X86_SIMD
 
-/** Scalar multi-key fallback: per slot, per key, the packed compare. */
-void
-multiKeyMatchScalar(const MultiKeyArgs &a, uint32_t out[kMaxLanes])
-{
-    for (unsigned l = 0; l < kMaxLanes; ++l)
-        out[l] = 0;
-    for (uint32_t m = a.validMask; m; m &= m - 1) {
-        const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        const uint64_t base = a.slotBitBase[l];
-        uint32_t km = 0;
-        for (uint32_t km_it = a.keyMask; km_it; km_it &= km_it - 1) {
-            const unsigned k =
-                static_cast<unsigned>(std::countr_zero(km_it));
-            bool ok = true;
-            for (unsigned w = 0; w < a.keyWords; ++w) {
-                uint64_t diff =
-                    (gather64(a.row, base + 64u * w) ^
-                     a.keyValueT[w * kMaxGroupKeys + k]) &
-                    a.keyCareT[w * kMaxGroupKeys + k];
-                if (a.ternary)
-                    diff &= gather64(a.row, base + a.keyBits + 64u * w);
-                if (diff) {
-                    ok = false;
-                    break;
-                }
-            }
-            if (ok)
-                km |= 1u << k;
-        }
-        out[l] = km;
-    }
-}
-
-#if defined(CARAM_X86_SIMD)
-
-/**
- * AVX2 multi-key: lanes hold keys.  Each slot's row word is gathered
- * once (scalar) and broadcast against two 4-key pattern registers, so
- * the row fetch and shift alignment amortize across 8 keys; absent key
- * lanes start dead via an all-ones mismatch.  A group whose keys have
- * all mismatched exits after the offending word -- the common word-0
- * reject costs ~2 instructions per key per slot.
- */
-__attribute__((target("avx2"))) void
-multiKeyMatchAvx2(const MultiKeyArgs &a, uint32_t out[kMaxLanes])
-{
-    const __m256i zero = _mm256_setzero_si256();
-    const __m256i dead0 = _mm256_setr_epi64x(
-        (a.keyMask & 1u) ? 0 : -1, (a.keyMask & 2u) ? 0 : -1,
-        (a.keyMask & 4u) ? 0 : -1, (a.keyMask & 8u) ? 0 : -1);
-    const __m256i dead1 = _mm256_setr_epi64x(
-        (a.keyMask & 16u) ? 0 : -1, (a.keyMask & 32u) ? 0 : -1,
-        (a.keyMask & 64u) ? 0 : -1, (a.keyMask & 128u) ? 0 : -1);
-    for (unsigned l = 0; l < kMaxLanes; ++l)
-        out[l] = 0;
-    for (uint32_t m = a.validMask; m; m &= m - 1) {
-        const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        const uint64_t base = a.slotBitBase[l];
-        __m256i mism0 = dead0;
-        __m256i mism1 = dead1;
-        bool anyAlive = true;
-        for (unsigned w = 0; w < a.keyWords; ++w) {
-            const __m256i g = _mm256_set1_epi64x(static_cast<long long>(
-                gather64(a.row, base + 64u * w)));
-            const uint64_t *tv = a.keyValueT + w * kMaxGroupKeys;
-            const uint64_t *tc = a.keyCareT + w * kMaxGroupKeys;
-            __m256i d0 = _mm256_and_si256(
-                _mm256_xor_si256(
-                    g, _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i *>(tv))),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(tc)));
-            __m256i d1 = _mm256_and_si256(
-                _mm256_xor_si256(
-                    g, _mm256_loadu_si256(
-                           reinterpret_cast<const __m256i *>(tv + 4))),
-                _mm256_loadu_si256(
-                    reinterpret_cast<const __m256i *>(tc + 4)));
-            if (a.ternary) {
-                const __m256i gc =
-                    _mm256_set1_epi64x(static_cast<long long>(gather64(
-                        a.row, base + a.keyBits + 64u * w)));
-                d0 = _mm256_and_si256(d0, gc);
-                d1 = _mm256_and_si256(d1, gc);
-            }
-            mism0 = _mm256_or_si256(mism0, d0);
-            mism1 = _mm256_or_si256(mism1, d1);
-            const __m256i alive = _mm256_or_si256(
-                _mm256_cmpeq_epi64(mism0, zero),
-                _mm256_cmpeq_epi64(mism1, zero));
-            if (_mm256_testz_si256(alive, alive)) {
-                anyAlive = false;
-                break;
-            }
-        }
-        if (!anyAlive)
-            continue;
-        const uint32_t lo = static_cast<uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(mism0, zero))));
-        const uint32_t hi = static_cast<uint32_t>(_mm256_movemask_pd(
-            _mm256_castsi256_pd(_mm256_cmpeq_epi64(mism1, zero))));
-        out[l] = lo | (hi << 4);
-    }
-}
-
-/**
- * AVX-512 multi-key: all 8 keys in one register, with the surviving
- * key set carried in a mask register; the slot is abandoned as soon as
- * every key has mismatched.
- */
-__attribute__((target("avx2,avx512f"))) void
-multiKeyMatchAvx512(const MultiKeyArgs &a, uint32_t out[kMaxLanes])
-{
-    for (unsigned l = 0; l < kMaxLanes; ++l)
-        out[l] = 0;
-    const __mmask8 keys = static_cast<__mmask8>(a.keyMask & 0xffu);
-    for (uint32_t m = a.validMask; m; m &= m - 1) {
-        const unsigned l = static_cast<unsigned>(std::countr_zero(m));
-        const uint64_t base = a.slotBitBase[l];
-        __mmask8 alive = keys;
-        for (unsigned w = 0; w < a.keyWords && alive; ++w) {
-            const __m512i g = _mm512_set1_epi64(static_cast<long long>(
-                gather64(a.row, base + 64u * w)));
-            __m512i d = _mm512_and_si512(
-                _mm512_xor_si512(
-                    g, _mm512_loadu_si512(a.keyValueT +
-                                          w * kMaxGroupKeys)),
-                _mm512_loadu_si512(a.keyCareT + w * kMaxGroupKeys));
-            if (a.ternary) {
-                d = _mm512_and_si512(
-                    d, _mm512_set1_epi64(static_cast<long long>(gather64(
-                           a.row, base + a.keyBits + 64u * w))));
-            }
-            alive = alive & _mm512_testn_epi64_mask(d, d);
-        }
-        out[l] = alive;
-    }
-}
-
-#endif // CARAM_X86_SIMD
-
 } // namespace
 
 SlotMatchFn
@@ -436,24 +294,6 @@ slotMatchFn(simd::MatchKernel kernel)
     (void)kernel;
 #endif
     return &slotMatchScalar;
-}
-
-MultiKeyMatchFn
-multiKeyMatchFn(simd::MatchKernel kernel)
-{
-#if defined(CARAM_X86_SIMD)
-    switch (kernel) {
-      case simd::MatchKernel::Avx2:
-        return &multiKeyMatchAvx2;
-      case simd::MatchKernel::Avx512:
-        return &multiKeyMatchAvx512;
-      case simd::MatchKernel::Scalar:
-        break;
-    }
-#else
-    (void)kernel;
-#endif
-    return &multiKeyMatchScalar;
 }
 
 } // namespace caram::core::kernels

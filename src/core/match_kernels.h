@@ -37,10 +37,6 @@
  * keeps the kernels bit-identical by construction everywhere above
  * this line.
  *
- * A second family, the multi-key kernels, gives the lanes to *keys*
- * instead: the batched pipeline compares one slot against up to
- * kMaxGroupKeys keys per vector.
- *
  * The SIMD kernels carry per-function target attributes, so the file
  * compiles without -mavx2/-mavx512f and the binary stays runnable on
  * hosts without those ISA extensions; runtime dispatch (common/cpuid.h)
@@ -107,56 +103,6 @@ using SlotMatchFn = uint64_t (*)(const SlotLayout &layout,
  * compiled-out kernel returns the scalar evaluator.
  */
 SlotMatchFn slotMatchFn(simd::MatchKernel kernel);
-
-/** Slots per multi-key call (the multi-key kernels loop over slots). */
-inline constexpr unsigned kMaxLanes = 16;
-
-/** Keys a multi-key evaluation compares per call. */
-inline constexpr unsigned kMaxGroupKeys = 8;
-
-/**
- * Multi-key evaluation: up to kMaxLanes slots of one bucket against up
- * to kMaxGroupKeys packed keys at once.  This is the batched pipeline's
- * inner loop: when several lookups share a home row, each slot's row
- * words are fetched once and compared against every key's pattern
- * simultaneously -- the SIMD lanes hold *keys* here, so the row fetch,
- * the shift alignment and the loop overhead are all amortized across
- * the group.
- */
-struct MultiKeyArgs
-{
-    /** Packed row words (same guard guarantees as SlotArgs). */
-    const uint64_t *row;
-    /** Per-lane slot bit positions, readable for kMaxLanes entries
-     *  (MatchProcessor pads its table); lanes beyond the bucket are
-     *  excluded via validMask. */
-    const uint64_t *slotBitBase;
-    /** Lane l set = slot lane l holds a record. */
-    uint32_t validMask;
-    /**
-     * Transposed key patterns: word w of key k at [w * kMaxGroupKeys
-     * + k], for keyWords words.  Lanes of absent keys (beyond the
-     * group size) must be zero-filled; they are masked via keyMask.
-     */
-    const uint64_t *keyValueT;
-    const uint64_t *keyCareT; ///< same layout; doubles as width mask
-    /** Key lane k set = lane k holds a real key of the group. */
-    uint32_t keyMask;
-    unsigned keyWords;
-    unsigned keyBits;
-    bool ternary;
-};
-
-/**
- * Evaluate the group: out[l] receives the bitmask of key lanes whose
- * pattern ternary-matches slot lane l (0 for invalid slots; bits
- * outside keyMask are never set).  out must hold kMaxLanes entries.
- */
-using MultiKeyMatchFn = void (*)(const MultiKeyArgs &args,
-                                 uint32_t out[kMaxLanes]);
-
-/** The multi-key evaluator for @p kernel (scalar fallback as above). */
-MultiKeyMatchFn multiKeyMatchFn(simd::MatchKernel kernel);
 
 } // namespace caram::core::kernels
 

@@ -28,14 +28,7 @@ gather64(const uint64_t *row, uint64_t bitpos)
 MatchProcessor::MatchProcessor(const SliceConfig &config) : cfg(&config)
 {
     const unsigned kb = cfg->logicalKeyBits;
-    const unsigned slots = cfg->slotsPerBucket;
     keyWords = static_cast<unsigned>(ceilDiv(kb, 64));
-    // Padded so a multi-key group starting at any real slot stays inside
-    // the table; the pad lanes are excluded via the group's validMask
-    // (base 0 keeps even an unconditional pad-lane gather inside the row).
-    slotBitBase.assign(slots + kernels::kMaxLanes, 0);
-    for (unsigned s = 0; s < slots; ++s)
-        slotBitBase[s] = static_cast<uint64_t>(s) * cfg->slotBits();
     widthMask.assign(keyWords, ~uint64_t{0});
     if (kb % 64 != 0)
         widthMask[keyWords - 1] = maskBits(kb % 64);
@@ -48,7 +41,6 @@ MatchProcessor::MatchProcessor(const SliceConfig &config) : cfg(&config)
 
     kernel_ = simd::activeMatchKernel();
     slotFn_ = kernels::slotMatchFn(kernel_);
-    multiKeyFn_ = kernels::multiKeyMatchFn(kernel_);
 }
 
 void
@@ -72,20 +64,6 @@ MatchProcessor::pack(const Key &search, PackedKey &out) const
     }
 }
 
-uint32_t
-MatchProcessor::groupValidMask(const uint64_t *row, unsigned start,
-                               unsigned width) const
-{
-    const unsigned end =
-        std::min(start + width, cfg->slotsPerBucket);
-    uint32_t mask = 0;
-    for (unsigned s = start; s < end; ++s) {
-        mask |= static_cast<uint32_t>(slotValidRaw(row, s))
-                << (s - start);
-    }
-    return mask;
-}
-
 uint64_t
 MatchProcessor::chunkMatchMask(const uint64_t *row, unsigned start,
                                const PackedKey &packed, bool exact,
@@ -102,187 +80,13 @@ MatchProcessor::chunkMatchMask(const uint64_t *row, unsigned start,
     return slotFn_(layout_, args);
 }
 
-void
-MatchProcessor::packGroup(const PackedKey *const *keys, unsigned n,
-                          PackedKeyGroup &out) const
-{
-    if (n > kernels::kMaxGroupKeys)
-        fatal("packGroup: group exceeds kMaxGroupKeys");
-    // Only the first keyWords transposed words are ever read by the
-    // kernels, so only those need their absent lanes zeroed -- this
-    // runs once per group per chain walk, so avoid touching the full
-    // kWords-sized arrays.
-    for (unsigned w = 0; w < keyWords; ++w) {
-        uint64_t *vrow = out.valueT.data() + w * kernels::kMaxGroupKeys;
-        uint64_t *crow = out.careT.data() + w * kernels::kMaxGroupKeys;
-        for (unsigned k = 0; k < n; ++k) {
-            vrow[k] = keys[k]->value[w];
-            crow[k] = keys[k]->careMask[w];
-        }
-        for (unsigned k = n; k < kernels::kMaxGroupKeys; ++k) {
-            vrow[k] = 0;
-            crow[k] = 0;
-        }
-    }
-    for (unsigned k = 0; k < n; ++k)
-        out.keys[k] = keys[k];
-    for (unsigned k = n; k < kernels::kMaxGroupKeys; ++k)
-        out.keys[k] = nullptr;
-    out.size = n;
-    out.keyMask = (n >= 32) ? ~0u : ((1u << n) - 1);
-}
-
-void
-MatchProcessor::multiKeyMatchMask(const uint64_t *row, unsigned start,
-                                  const PackedKeyGroup &group,
-                                  uint32_t keyMask,
-                                  uint32_t out[kernels::kMaxLanes]) const
-{
-    // The multi-key kernels scalar-loop the slot dimension, so one call
-    // covers a full kMaxLanes-slot window regardless of vector width.
-    const uint32_t valid = groupValidMask(row, start, kernels::kMaxLanes);
-    if (!valid || !keyMask) {
-        std::fill_n(out, kernels::kMaxLanes, 0u);
-        return;
-    }
-    kernels::MultiKeyArgs args;
-    args.row = row;
-    args.slotBitBase = slotBitBase.data() + start;
-    args.validMask = valid;
-    args.keyValueT = group.valueT.data();
-    args.keyCareT = group.careT.data();
-    args.keyMask = keyMask;
-    args.keyWords = keyWords;
-    args.keyBits = cfg->logicalKeyBits;
-    args.ternary = cfg->ternary;
-    multiKeyFn_(args, out);
-}
-
-void
-MatchProcessor::searchBucketKeys(const BucketView &bucket,
-                                 const PackedKeyGroup &group,
-                                 uint32_t aliveMask, BucketMatch *out) const
-{
-    aliveMask &= group.keyMask;
-    if (!aliveMask)
-        return;
-    if (kernel_ == simd::MatchKernel::Scalar) {
-        // The scalar kernel gains nothing from key batching (the row
-        // words would be re-gathered per key anyway); reuse the
-        // single-key path, which is the semantic definition.
-        for (uint32_t m = aliveMask; m; m &= m - 1) {
-            const unsigned k =
-                static_cast<unsigned>(std::countr_zero(m));
-            out[k] = searchBucketPacked(bucket, *group.keys[k]);
-        }
-        return;
-    }
-    const uint64_t *row = bucket.rowData();
-    int first[kernels::kMaxGroupKeys];
-    bool multiple[kernels::kMaxGroupKeys];
-    for (unsigned k = 0; k < kernels::kMaxGroupKeys; ++k) {
-        first[k] = -1;
-        multiple[k] = false;
-    }
-    // Keys drop out of `pending` once their verdict is final (a second
-    // match seen), which shrinks the kernel's key set as the row scan
-    // proceeds -- mirroring the serial path's early break.
-    uint32_t pending = aliveMask;
-    uint32_t masks[kernels::kMaxLanes];
-    for (unsigned g = 0; g < cfg->slotsPerBucket && pending;
-         g += kernels::kMaxLanes) {
-        multiKeyMatchMask(row, g, group, pending, masks);
-        const unsigned end =
-            std::min(kernels::kMaxLanes, cfg->slotsPerBucket - g);
-        for (unsigned l = 0; l < end; ++l) {
-            for (uint32_t km = masks[l] & pending; km; km &= km - 1) {
-                const unsigned k =
-                    static_cast<unsigned>(std::countr_zero(km));
-                if (first[k] < 0) {
-                    first[k] = static_cast<int>(g + l);
-                } else {
-                    multiple[k] = true;
-                    pending &= ~(1u << k);
-                }
-            }
-        }
-    }
-    for (uint32_t m = aliveMask; m; m &= m - 1) {
-        const unsigned k = static_cast<unsigned>(std::countr_zero(m));
-        out[k] = first[k] < 0
-                     ? BucketMatch{}
-                     : extract(bucket, static_cast<unsigned>(first[k]),
-                               multiple[k]);
-    }
-}
-
-void
-MatchProcessor::searchBucketBestKeys(const BucketView &bucket,
-                                     const PackedKeyGroup &group,
-                                     uint32_t aliveMask,
-                                     BucketMatch *out) const
-{
-    aliveMask &= group.keyMask;
-    if (!aliveMask)
-        return;
-    if (kernel_ == simd::MatchKernel::Scalar) {
-        for (uint32_t m = aliveMask; m; m &= m - 1) {
-            const unsigned k =
-                static_cast<unsigned>(std::countr_zero(m));
-            out[k] = searchBucketBestPacked(bucket, *group.keys[k]);
-        }
-        return;
-    }
-    const uint64_t *row = bucket.rowData();
-    int best[kernels::kMaxGroupKeys];
-    unsigned bestPop[kernels::kMaxGroupKeys];
-    unsigned matches[kernels::kMaxGroupKeys];
-    for (unsigned k = 0; k < kernels::kMaxGroupKeys; ++k) {
-        best[k] = -1;
-        bestPop[k] = 0;
-        matches[k] = 0;
-    }
-    uint32_t masks[kernels::kMaxLanes];
-    for (unsigned g = 0; g < cfg->slotsPerBucket;
-         g += kernels::kMaxLanes) {
-        multiKeyMatchMask(row, g, group, aliveMask, masks);
-        const unsigned end =
-            std::min(kernels::kMaxLanes, cfg->slotsPerBucket - g);
-        for (unsigned l = 0; l < end; ++l) {
-            uint32_t km = masks[l];
-            if (!km)
-                continue;
-            const unsigned s = g + l;
-            // The ranking popcount depends only on the slot's stored
-            // care, so it is shared across every key matching here.
-            const unsigned pop = storedCarePopcount(row, s);
-            for (; km; km &= km - 1) {
-                const unsigned k =
-                    static_cast<unsigned>(std::countr_zero(km));
-                ++matches[k];
-                if (best[k] < 0 || pop > bestPop[k]) {
-                    best[k] = static_cast<int>(s);
-                    bestPop[k] = pop;
-                }
-            }
-        }
-    }
-    for (uint32_t m = aliveMask; m; m &= m - 1) {
-        const unsigned k = static_cast<unsigned>(std::countr_zero(m));
-        out[k] = best[k] < 0
-                     ? BucketMatch{}
-                     : extract(bucket, static_cast<unsigned>(best[k]),
-                               matches[k] > 1);
-    }
-}
-
 unsigned
 MatchProcessor::storedCarePopcount(const uint64_t *row, unsigned s) const
 {
     const unsigned kb = cfg->logicalKeyBits;
     if (!cfg->ternary)
         return kb;
-    const uint64_t care_base = slotBitBase[s] + kb;
+    const uint64_t care_base = uint64_t{s} * layout_.slotBits + kb;
     unsigned pop = 0;
     for (unsigned w = 0; w < keyWords; ++w) {
         pop += static_cast<unsigned>(std::popcount(

@@ -45,7 +45,6 @@
  * above the match vector by construction.
  */
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -129,59 +128,6 @@ class MatchProcessor
     unsigned countMatches(const BucketView &bucket,
                           const PackedKey &packed) const;
 
-    /**
-     * A group of up to kernels::kMaxGroupKeys packed keys sharing one
-     * bucket access, stored transposed (word-major, key lanes adjacent)
-     * so the multi-key kernels load one vector of "word w of every key".
-     * The batched search pipeline builds one group per shared home row;
-     * the embedded arrays keep steady-state grouping allocation-free.
-     */
-    struct PackedKeyGroup
-    {
-        /** keyValueT[w * kMaxGroupKeys + k] = word w of key k's value;
-         *  absent key lanes are zero in the first keyWords words (words
-         *  past keyWords are never read by the kernels and packGroup
-         *  leaves them untouched). */
-        alignas(64) std::array<uint64_t,
-                               Key::kWords * kernels::kMaxGroupKeys>
-            valueT{};
-        /** Same layout for the care words (zero lanes never match a
-         *  nonzero diff, but absent lanes are still masked out). */
-        alignas(64) std::array<uint64_t,
-                               Key::kWords * kernels::kMaxGroupKeys>
-            careT{};
-        /** The grouped keys, for extraction and serial fallbacks. */
-        std::array<const PackedKey *, kernels::kMaxGroupKeys> keys{};
-        unsigned size = 0;   ///< keys in the group
-        uint32_t keyMask = 0; ///< (1 << size) - 1
-    };
-
-    /**
-     * Transpose @p n packed keys (<= kernels::kMaxGroupKeys) into
-     * @p out.  The pointed-to PackedKeys must outlive the group.
-     */
-    void packGroup(const PackedKey *const *keys, unsigned n,
-                   PackedKeyGroup &out) const;
-
-    /**
-     * Batched form of searchBucketPacked: out[k] receives, for every
-     * key lane k set in @p aliveMask, exactly what
-     * searchBucketPacked(bucket, *group.keys[k]) would return.  Lanes
-     * outside aliveMask are left untouched.  One row traversal serves
-     * the whole group.
-     */
-    void searchBucketKeys(const BucketView &bucket,
-                          const PackedKeyGroup &group, uint32_t aliveMask,
-                          BucketMatch *out) const;
-
-    /**
-     * Batched form of searchBucketBestPacked (longest-prefix ranking),
-     * with the same per-lane contract as searchBucketKeys.
-     */
-    void searchBucketBestKeys(const BucketView &bucket,
-                              const PackedKeyGroup &group,
-                              uint32_t aliveMask, BucketMatch *out) const;
-
     /** The comparator kernel this processor dispatched to at build. */
     simd::MatchKernel kernel() const { return kernel_; }
 
@@ -221,19 +167,7 @@ class MatchProcessor
     BucketMatch extract(const BucketView &bucket, unsigned slot,
                         bool multiple) const;
 
-    /** Valid bit of slot @p s read straight from the row words. */
-    bool
-    slotValidRaw(const uint64_t *row, unsigned s) const
-    {
-        const uint64_t vb = slotBitBase[s] + layout_.validBit;
-        return (row[vb / 64] >> (vb % 64)) & 1u;
-    }
-
     unsigned storedCarePopcount(const uint64_t *row, unsigned s) const;
-
-    /** Valid bits of the @p width slots starting at @p start. */
-    uint32_t groupValidMask(const uint64_t *row, unsigned start,
-                            unsigned width) const;
 
     /** Match (or, with @p exact, equality) bitmap of the up to
      *  @p count slots starting at @p start. */
@@ -241,27 +175,18 @@ class MatchProcessor
                             const PackedKey &packed, bool exact,
                             unsigned count = kernels::kChunkSlots) const;
 
-    /** Per-slot key-match masks for kMaxLanes slots starting at
-     *  @p start: out[l] = key lanes (within keyMask) matching slot
-     *  start+l. */
-    void multiKeyMatchMask(const uint64_t *row, unsigned start,
-                           const PackedKeyGroup &group, uint32_t keyMask,
-                           uint32_t out[kernels::kMaxLanes]) const;
-
     const SliceConfig *cfg;
 
     // Row layout derived from the configuration once: where a slot's
-    // fields sit, per slot the bit position of its value field, and per
-    // key word the mask of bits inside the key width.
+    // fields sit, and per key word the mask of bits inside the key
+    // width.
     unsigned keyWords = 0; ///< ceil(logicalKeyBits / 64)
     kernels::SlotLayout layout_;
-    std::vector<uint64_t> slotBitBase; ///< padded to kMaxLanes past slots
     std::vector<uint64_t> widthMask; ///< [keyWords]
 
     // Comparator kernel, sampled once at construction.
     simd::MatchKernel kernel_ = simd::MatchKernel::Scalar;
     kernels::SlotMatchFn slotFn_ = nullptr;
-    kernels::MultiKeyMatchFn multiKeyFn_ = nullptr;
 };
 
 } // namespace caram::core

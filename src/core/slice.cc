@@ -30,7 +30,7 @@ CaRamSlice::ScratchUse::ScratchUse(const CaRamSlice &s) : slice_(s)
     if (slice_.scratchGuard_.fetch_add(1, std::memory_order_acq_rel) != 0)
         panic("concurrent use of per-slice scratch: shard workers must "
               "use packSearchKey/candidateHomes/searchRows with "
-              "shard-local scratch, never search/searchBatch/erase");
+              "shard-local scratch, never search/erase");
 }
 
 CaRamSlice::ScratchUse::~ScratchUse()
@@ -96,6 +96,19 @@ CaRamSlice::homeRowsInto(const Key &key)
         idxGen->candidateIndices(key.valueWords(), key.careWords(),
                                  key.bits(), homesScratch);
     return homesScratch;
+}
+
+void
+CaRamSlice::prefetchHome(const Key &key) const
+{
+    if (key.bits() != cfg.logicalKeyBits || !key.fullySpecified())
+        return;
+    const uint64_t *row =
+        array_.rowData(idxGen->index(key.valueWords(), key.bits()));
+    const uint64_t row_words = array_.wordsPerRow();
+    // A very wide row is not worth the request-buffer pressure.
+    mem::prefetchSpan(row, std::min<uint64_t>(row_words * 8, 512));
+    mem::prefetchRead(row + row_words - 1);
 }
 
 uint64_t
@@ -313,7 +326,7 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
                 ? idxGen->index(key.valueWords(), key.bits())
                 : kNoPrefetch;
     }
-    auto prefetchHome = [&](unsigned i) {
+    auto prefetchAt = [&](unsigned i) {
         if (i >= n || ig.pfRow[i] == kNoPrefetch)
             return;
         const uint64_t *base = array_.rowData(ig.pfRow[i]);
@@ -323,7 +336,7 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
                               aux_byte);
     };
     for (unsigned i = 0; i < kPrefetchAhead && i < n; ++i)
-        prefetchHome(i);
+        prefetchAt(i);
 
     auto rehash = [&ig] {
         ig.table.assign(ig.table.size() * 2, -1);
@@ -384,7 +397,7 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
 
     // Simulate, in submission order.
     for (unsigned i = 0; i < n; ++i) {
-        prefetchHome(i + kPrefetchAhead);
+        prefetchAt(i + kPrefetchAhead);
         const Record &rec = records[i];
         const auto &homes = homeRowsInto(rec.key);
         const auto copies = static_cast<unsigned>(homes.size());
@@ -737,241 +750,6 @@ CaRamSlice::noteFanoutSearch(unsigned buckets_accessed)
     accessCount += buckets_accessed;
 }
 
-uint64_t
-CaRamSlice::searchGroupChain(uint64_t home, unsigned reach,
-                             const uint32_t *idx, unsigned group_size,
-                             SearchResult *out, bool pf)
-{
-    auto &sc = batch_;
-    const MatchProcessor::PackedKey *ptrs[kernels::kMaxGroupKeys];
-    for (unsigned k = 0; k < group_size; ++k)
-        ptrs[k] = &sc.packed[idx[k]];
-    matcher.packGroup(ptrs, group_size, sc.group);
-
-    // Pre-filter each live lane against the shared row: a lane that
-    // fails is exactly the key a serial filtered searchChain() would
-    // have skipped the row for (no bucketsAccessed charge, no match
-    // attempt), and the row is fetched only when at least one lane
-    // still needs it -- whole groups skip guaranteed-miss rows.
-    auto passMask = [&](uint64_t row, uint32_t lanes) -> uint32_t {
-        if (!pf)
-            return lanes;
-        uint32_t pass = lanes;
-        for (uint32_t m = lanes; m; m &= m - 1) {
-            const unsigned k =
-                static_cast<unsigned>(std::countr_zero(m));
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            if (!filter_.mayMatch(row, sc.sig[idx[k]],
-                                  sc.sigUsable[idx[k]] != 0)) {
-                prefilterSkips_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                pass &= ~(1u << k);
-            }
-        }
-        return pass;
-    };
-
-    uint64_t fetches = 0;
-    if (!cfg.lpm) {
-        // Keys leave the group on their first hit, exactly where the
-        // serial chain walk would stop counting accesses for them.
-        uint32_t alive = sc.group.keyMask;
-        for (unsigned d = 0; d <= reach && alive; ++d) {
-            // The probe row is key-independent on this path (d == 0, or
-            // Linear probing) -- any group member's key works.
-            const uint64_t row = probeRow(home, d, ptrs[0]->key);
-            const uint32_t pass = passMask(row, alive);
-            if (!pass)
-                continue;
-            ++fetches;
-            for (uint32_t m = pass; m; m &= m - 1)
-                ++out[idx[std::countr_zero(m)]].bucketsAccessed;
-            matcher.searchBucketKeys(bucket(row), sc.group, pass,
-                                     sc.groupOut.data());
-            for (uint32_t m = pass; m; m &= m - 1) {
-                const unsigned k =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const BucketMatch &bm = sc.groupOut[k];
-                if (!bm.hit)
-                    continue;
-                SearchResult &r = out[idx[k]];
-                r.hit = true;
-                r.multipleMatch = bm.multipleMatch;
-                r.row = row;
-                r.slot = bm.slot;
-                r.data = bm.data;
-                r.key = bm.key;
-                alive &= ~(1u << k);
-            }
-        }
-    } else {
-        // LPM: every key walks the whole chain, keeping its best match
-        // by specified-bit count (same merge as searchChain).
-        for (unsigned d = 0; d <= reach; ++d) {
-            const uint64_t row = probeRow(home, d, ptrs[0]->key);
-            const uint32_t pass = passMask(row, sc.group.keyMask);
-            if (!pass)
-                continue;
-            ++fetches;
-            for (uint32_t m = pass; m; m &= m - 1)
-                ++out[idx[std::countr_zero(m)]].bucketsAccessed;
-            matcher.searchBucketBestKeys(bucket(row), sc.group, pass,
-                                         sc.groupOut.data());
-            for (uint32_t m = pass; m; m &= m - 1) {
-                const unsigned k =
-                    static_cast<unsigned>(std::countr_zero(m));
-                const BucketMatch &bm = sc.groupOut[k];
-                if (!bm.hit)
-                    continue;
-                SearchResult &r = out[idx[k]];
-                const unsigned pop = bm.key.carePopcount();
-                if (!r.hit || pop > r.key.carePopcount()) {
-                    r.hit = true;
-                    r.multipleMatch = bm.multipleMatch;
-                    r.row = row;
-                    r.slot = bm.slot;
-                    r.data = bm.data;
-                    r.key = bm.key;
-                }
-            }
-        }
-    }
-    return fetches;
-}
-
-uint64_t
-CaRamSlice::searchBatchChunk(const Key *const *keys, unsigned n,
-                             SearchResult *out)
-{
-    const ScratchUse guard(*this);
-    auto &sc = batch_;
-    uint64_t fetches = 0;
-    unsigned groupable = 0;
-    ++batchChunks_;
-    const bool pf = prefilterActive();
-    // Prefetch cap: the slot windows a lookup touches first live at the
-    // front of the row; very wide rows are not worth the request-buffer
-    // pressure.
-    const uint64_t pf_bytes =
-        std::min<uint64_t>(array_.wordsPerRow() * 8, 512);
-    for (unsigned i = 0; i < n; ++i) {
-        ++searchCount;
-        out[i] = SearchResult{};
-        matcher.pack(*keys[i], sc.packed[i]);
-        if (pf) {
-            // Signatures computed once per key, alongside packing --
-            // every row the grouped walk consults reuses them.
-            sc.sig[i] = RowPrefilter::signatureOf(*keys[i]);
-            sc.sigUsable[i] = keys[i]->fullySpecified() ? 1 : 0;
-        }
-        const auto &homes = homeRowsInto(*keys[i]);
-        if (homes.size() == 1) {
-            sc.home[i] = homes[0];
-            // The chunk's home rows are all known before any row is
-            // matched: prefetching here overlaps the DRAM misses with
-            // the remaining packing work and with one another.
-            mem::prefetchSpan(array_.rowData(homes[0]), pf_bytes);
-            sc.order[groupable++] = i;
-            continue;
-        }
-        // Don't-care bits in hash positions: the key must access every
-        // candidate bucket -- serial walk, identical to search().
-        for (uint64_t home : homes) {
-            if (searchChain(home, sc.packed[i], out[i], nullptr))
-                break;
-        }
-        fetches += out[i].bucketsAccessed;
-        accessCount += out[i].bucketsAccessed;
-    }
-
-    // Group single-home keys by home bucket; ties keep submission order
-    // so a group's first-hit bookkeeping mirrors the serial stream.
-    // Bursty streams usually arrive already run-ordered -- an O(n)
-    // pre-scan skips the sort then (sc.order is filled in submission
-    // order, so ties are already where the sort would leave them).
-    bool run_ordered = true;
-    for (unsigned j = 1; j < groupable; ++j) {
-        if (sc.home[sc.order[j - 1]] > sc.home[sc.order[j]]) {
-            run_ordered = false;
-            break;
-        }
-    }
-    if (run_ordered)
-        ++batchSortsSkipped_;
-    else
-        std::sort(sc.order.begin(), sc.order.begin() + groupable,
-                  [&sc](uint32_t a, uint32_t b) {
-                      return sc.home[a] != sc.home[b]
-                                 ? sc.home[a] < sc.home[b]
-                                 : a < b;
-                  });
-    unsigned pos = 0;
-    while (pos < groupable) {
-        const uint64_t home = sc.home[sc.order[pos]];
-        unsigned end = pos + 1;
-        while (end < groupable && sc.home[sc.order[end]] == home)
-            ++end;
-        // The filtered serial walk reads reach from the filter mirror
-        // (no home-row touch); the grouped walk must match it.
-        const unsigned reach =
-            pf ? filter_.reach(home) : bucket(home).reach();
-        // SecondHash probe rows depend on the key, so a chain that
-        // leaves the home bucket cannot be shared.
-        const bool shareable =
-            cfg.probe != ProbePolicy::SecondHash || reach == 0;
-        if (!shareable || end - pos == 1) {
-            for (unsigned j = pos; j < end; ++j) {
-                const unsigned i = sc.order[j];
-                searchChain(home, sc.packed[i], out[i], nullptr);
-                fetches += out[i].bucketsAccessed;
-                accessCount += out[i].bucketsAccessed;
-            }
-        } else {
-            for (unsigned j = pos; j < end;
-                 j += kernels::kMaxGroupKeys) {
-                const unsigned gsz = std::min(
-                    kernels::kMaxGroupKeys, end - j);
-                fetches += searchGroupChain(home, reach,
-                                            sc.order.data() + j, gsz,
-                                            out, pf);
-                for (unsigned k = 0; k < gsz; ++k) {
-                    accessCount +=
-                        out[sc.order[j + k]].bucketsAccessed;
-                }
-            }
-        }
-        pos = end;
-    }
-    return fetches;
-}
-
-uint64_t
-CaRamSlice::searchBatch(const Key *const *keys, unsigned n,
-                        SearchResult *out)
-{
-    uint64_t fetches = 0;
-    for (unsigned off = 0; off < n; off += kMaxBatch) {
-        const unsigned chunk = std::min(kMaxBatch, n - off);
-        fetches += searchBatchChunk(keys + off, chunk, out + off);
-    }
-    return fetches;
-}
-
-uint64_t
-CaRamSlice::searchBatch(std::span<const Key> keys, SearchResult *out)
-{
-    uint64_t fetches = 0;
-    std::array<const Key *, kMaxBatch> ptrs;
-    for (std::size_t off = 0; off < keys.size(); off += kMaxBatch) {
-        const unsigned chunk = static_cast<unsigned>(
-            std::min<std::size_t>(kMaxBatch, keys.size() - off));
-        for (unsigned i = 0; i < chunk; ++i)
-            ptrs[i] = &keys[off + i];
-        fetches += searchBatchChunk(ptrs.data(), chunk, out + off);
-    }
-    return fetches;
-}
-
 bool
 CaRamSlice::eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed)
 {
@@ -1320,8 +1098,6 @@ CaRamSlice::clear()
     spilledCount = 0;
     searchCount = 0;
     accessCount = 0;
-    batchChunks_ = 0;
-    batchSortsSkipped_ = 0;
     prefilterProbes_.store(0, std::memory_order_relaxed);
     prefilterSkips_.store(0, std::memory_order_relaxed);
 }

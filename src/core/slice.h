@@ -14,7 +14,6 @@
  * composition is carried separately for the cost and timing models.
  */
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -201,7 +200,7 @@ class CaRamSlice
      * the result are caller-owned, so concurrent searchRows() calls on
      * one slice are safe against each other (they only read the memory
      * array) as long as no mutation and no scratch-using entry point
-     * (search/searchBatch/erase/...) runs concurrently.
+     * (search/erase/insertBatch/...) runs concurrently.
      *
      * The returned bucketsAccessed counts only the rows this shard
      * walked.  Recombine shards with mergeShardResults() and account
@@ -298,40 +297,18 @@ class CaRamSlice
     }
     /// @}
 
-    /** Keys one searchBatch() chunk groups (scratch sizing). */
-    static constexpr unsigned kMaxBatch = 32;
-
     /**
-     * Batched lookup: out[i] receives exactly what search(keys[i])
-     * would return (bit-identical results and per-key bucketsAccessed;
-     * the search counters advance as if the calls were serial).
-     *
-     * Keys sharing a home bucket are matched as a *group* against each
-     * fetched row -- the multi-key comparator compares one row fetch
-     * against every key of the group simultaneously, the way the
-     * hardware's match processors amortize a row access across parallel
-     * comparators.  Keys whose probe rows are key-dependent (SecondHash
-     * chains past the home bucket) or that hash to multiple candidate
-     * buckets fall back to the serial chain walk, preserving exact
-     * equivalence.
-     *
-     * Returns the number of row fetches the batched execution performs:
-     * a row matched for a whole group counts once, while the serial
-     * path would fetch it once per key.  (Per-key bucketsAccessed in
-     * @p out still reports the serial-equivalent count -- the fetch
-     * count is the batched cost model's input.)
+     * Prefetch hint for an operation on @p key that is about to run:
+     * the first min(row bytes, 512) bytes of its home row, where the
+     * slot windows a lookup compares first live, and the line holding
+     * the row's last word, which holds the aux field and its reach.
+     * Only a key of the slice's width with exactly one home (fully
+     * specified) is hinted; any other key is a no-op.  A hint changes
+     * no state, so every result and counter is what it would be
+     * without it.  Issued a few requests ahead, it lets the row misses
+     * of consecutive operations overlap (DESIGN.md section 4c).
      */
-    uint64_t searchBatch(const Key *const *keys, unsigned n,
-                         SearchResult *out);
-
-    /** Convenience overload over a contiguous key array. */
-    uint64_t searchBatch(std::span<const Key> keys, SearchResult *out);
-
-    /** searchBatch() chunks processed / chunks whose group-by sort was
-     *  skipped because the chunk arrived already run-ordered (an O(n)
-     *  pre-scan detects this before paying the O(n log n) sort). */
-    uint64_t batchChunksProcessed() const { return batchChunks_; }
-    uint64_t batchSortsSkipped() const { return batchSortsSkipped_; }
+    void prefetchHome(const Key &key) const;
 
     /** Records one insertBatch() chunk ingests (scratch sizing). */
     static constexpr unsigned kMaxIngestBatch = 256;
@@ -492,25 +469,9 @@ class CaRamSlice
     bool searchChain(uint64_t home, const MatchProcessor::PackedKey &packed,
                      SearchResult &best, std::vector<uint64_t> *trace);
 
-    /** One chunk (n <= kMaxBatch) of searchBatch(); returns fetches. */
-    uint64_t searchBatchChunk(const Key *const *keys, unsigned n,
-                              SearchResult *out);
-
     /** One chunk (n <= kMaxIngestBatch) of insertBatch(). */
     InsertBatchSummary insertBatchChunk(const Record *records, unsigned n,
                                         InsertOutcome *outcomes);
-
-    /**
-     * Walk one shared probe chain for a group of same-home keys
-     * (d-th row identical for every key: Linear/None probing, or a
-     * zero-reach home).  @p pf routes each lane through the pre-filter
-     * (sig/sigUsable scratch must be filled); a row is fetched only
-     * when at least one live lane passes.  Returns the row fetches
-     * performed.
-     */
-    uint64_t searchGroupChain(uint64_t home, unsigned reach,
-                              const uint32_t *idx, unsigned group_size,
-                              SearchResult *out, bool pf);
 
     /** Remove one copy of @p packed's key homed at @p home (the first
      *  the chain walk meets), then repair the hole when the slice
@@ -606,23 +567,6 @@ class CaRamSlice
         const CaRamSlice &slice_;
     };
 
-    /** searchBatch() scratch, sized once: per-key packed templates and
-     *  grouping tables for one chunk, plus the transposed key group.
-     *  Same single-owner rule as the scratch above. */
-    struct BatchScratch
-    {
-        std::array<MatchProcessor::PackedKey, kMaxBatch> packed;
-        std::array<uint64_t, kMaxBatch> home;
-        std::array<uint32_t, kMaxBatch> order;
-        /** Per-key pre-filter signature + usability, filled only when
-         *  the filter is consulted for the chunk. */
-        std::array<uint64_t, kMaxBatch> sig;
-        std::array<uint8_t, kMaxBatch> sigUsable;
-        MatchProcessor::PackedKeyGroup group;
-        std::array<BucketMatch, kernels::kMaxGroupKeys> groupOut;
-    };
-    BatchScratch batch_;
-
     /** insertBatch() scratch: a row cache holding every distinct row a
      *  chunk touches (fetched once), the simulated placements in
      *  submission order, and the row-ordered apply schedule.  All
@@ -672,10 +616,6 @@ class CaRamSlice
     // Search accounting.
     uint64_t searchCount = 0;
     uint64_t accessCount = 0;
-
-    // Batched-search accounting (sort-skip effectiveness).
-    uint64_t batchChunks_ = 0;
-    uint64_t batchSortsSkipped_ = 0;
 
     // Cache-region accounting: rows map onto <= kCacheRegions
     // power-of-two runs (shift chosen so the top region index fits in

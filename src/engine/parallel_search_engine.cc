@@ -150,9 +150,6 @@ struct ParallelSearchEngine::Worker
      *  (like the run counters below) because report() sums them while
      *  the run is still in flight. */
     std::atomic<uint64_t> modeledCycles{0};
-    /** Batched-run scratch (sized once, reused across runs). */
-    std::vector<const Key *> keyPtrs;
-    std::vector<core::SearchResult> batchResults;
     /** Bulk-ingest scratch (sized once, reused across runs). */
     std::vector<core::Record> records;
     std::vector<int> priorities;
@@ -161,22 +158,11 @@ struct ParallelSearchEngine::Worker
      *  ingestMutex (a struct of counters cannot be read atomically). */
     std::mutex ingestMutex;
     core::InsertBatchSummary ingest;
-    /** Run counters (EngineReport). */
-    std::atomic<uint64_t> batchedSearchRuns{0};
-    std::atomic<uint64_t> adaptiveSerialRuns{0};
+    /** Run counter (EngineReport). */
     std::atomic<uint64_t> batchedInsertRuns{0};
     /** Result-cache stamping scratch: candidate-home scratch for
-     *  Database::searchRegionMask, and the per-key region masks /
-     *  stamps of one batched segment (captured before the slice
-     *  search runs). */
+     *  Database::searchRegionMask. */
     std::vector<uint64_t> maskHomes;
-    std::vector<uint64_t> fillMasks;
-    std::vector<uint64_t> fillStamps;
-    /** Adaptive controller: smoothed keys-per-fetch of recent batched
-     *  runs, and search runs left in the current serial back-off. */
-    double sharingEwma = 0.0;
-    bool sharingSeeded = false;
-    unsigned serialHold = 0;
     /** Fan-out coordinator scratch: the packed key every shard reads,
      *  the candidate home rows, and one result slot per shard.  All
      *  pre-sized after the first fan-out, so steady-state fan-out
@@ -648,147 +634,6 @@ ParallelSearchEngine::execute(
 }
 
 void
-ParallelSearchEngine::executeSearchRun(const Job *jobs, std::size_t count,
-                                       unsigned worker_index)
-{
-    const unsigned port_no = jobs[0].request.port;
-    core::Database &db = sys->database(port_no);
-    if (db.powerState() != core::PowerState::Active) {
-        // Retained database: fall back to the serial path, which
-        // produces the per-request error responses.
-        for (std::size_t i = 0; i < count; ++i)
-            execute(jobs[i].request, jobs[i].enqueued, worker_index);
-        return;
-    }
-
-    if (rowFanoutMin_ == 0 && !resultCache_) {
-        executeBatchSegment(db, jobs, count, worker_index);
-        return;
-    }
-
-    // Cache hits and fan-out-eligible keys leave the batch.  A hit
-    // never touches the slice at all; a fan-out key would make
-    // searchBatch walk its many home chains serially inside the chunk
-    // (its multi-home fallback), exactly the blow-up the fan-out
-    // exists to parallelize.  The segments between them still batch,
-    // and responses are finished in submission order under any split
-    // -- the preceding miss segment always runs before a cached
-    // response is finished, so per-port FIFO (and bit-identity against
-    // the serial oracle) is preserved.
-    Worker &self = *workers[worker_index];
-    std::size_t seg = 0;
-    for (std::size_t k = 0; k < count; ++k) {
-        core::SearchResult cached;
-        if (probeCache(jobs[k].request, cached)) {
-            if (k > seg)
-                executeBatchSegment(db, jobs + seg, k - seg,
-                                    worker_index);
-            finishCached(self, jobs[k].request, cached, jobs[k].enqueued);
-            seg = k + 1;
-            continue;
-        }
-        if (rowFanoutMin_ == 0)
-            continue;
-        // Single-home (fully specified) keys always stay in the batch,
-        // even under a forced threshold of 1: sharding a one-home chain
-        // cannot help, and pulling the key out would destroy the run's
-        // row sharing.
-        if (jobs[k].request.key.fullySpecified() ||
-            !fanoutEligible(db, jobs[k].request.key, self))
-            continue;
-        if (k > seg)
-            executeBatchSegment(db, jobs + seg, k - seg, worker_index);
-        executeFanoutSearch(db, jobs[k].request, jobs[k].enqueued,
-                            worker_index);
-        seg = k + 1;
-    }
-    if (count > seg)
-        executeBatchSegment(db, jobs + seg, count - seg, worker_index);
-}
-
-void
-ParallelSearchEngine::executeBatchSegment(core::Database &db,
-                                          const Job *jobs,
-                                          std::size_t count,
-                                          unsigned worker_index)
-{
-    const unsigned port_no = jobs[0].request.port;
-    Worker &self = *workers[worker_index];
-    self.keyPtrs.clear();
-    for (std::size_t i = 0; i < count; ++i)
-        self.keyPtrs.push_back(&jobs[i].request.key);
-    if (self.batchResults.size() < count)
-        self.batchResults.resize(count);
-    if (resultCache_) {
-        // Per-key stamp capture before the batched walk runs: each
-        // fill is stamped with its own key's candidate home-row
-        // coverage, so a later mutation invalidates exactly the keys
-        // whose regions it dirtied.
-        if (self.fillMasks.size() < count) {
-            self.fillMasks.resize(count);
-            self.fillStamps.resize(count);
-        }
-        for (std::size_t i = 0; i < count; ++i) {
-            self.fillMasks[i] = db.searchRegionMask(jobs[i].request.key,
-                                                    self.maskHomes);
-            self.fillStamps[i] =
-                resultCache_->captureStamp(port_no, self.fillMasks[i]);
-        }
-    }
-    const uint64_t fetches =
-        db.searchBatch(self.keyPtrs.data(), static_cast<unsigned>(count),
-                       self.batchResults.data());
-    if (resultCache_) {
-        // Negative results are cached too: a repeated miss replays the
-        // same (deterministic) empty-handed chain walk.
-        for (std::size_t i = 0; i < count; ++i)
-            resultCache_->fill(port_no, jobs[i].request.key,
-                               self.batchResults[i], self.fillStamps[i],
-                               self.fillMasks[i]);
-    }
-
-    // Modeled cost of the whole run: the bank is occupied once per
-    // *distinct* row fetch -- a row matched for a whole group of keys
-    // cost one access where the serial controller would pay one per
-    // key.  This is the batched pipeline's bandwidth claim, and the
-    // per-response bucketsAccessed below still reports the
-    // serial-equivalent counts for the AMAL statistics.
-    const uint64_t cycles = std::max<uint64_t>(1, fetches) *
-                            std::max(1u, cfg.timing.minCycleGap);
-    PortState &port = *ports[port_no];
-    port.stats.modeledCycles.fetch_add(cycles, std::memory_order_relaxed);
-    self.modeledCycles.fetch_add(cycles, std::memory_order_relaxed);
-    self.batchedSearchRuns.fetch_add(1, std::memory_order_relaxed);
-
-    if (cfg.adaptiveBatch) {
-        // Keys per distinct row fetch: ~1 on uniform traffic, up to the
-        // group width on bursty traffic.  EWMA so one quiet run does
-        // not flap the strategy.
-        const double sharing = static_cast<double>(count) /
-                               std::max<uint64_t>(1, fetches);
-        self.sharingEwma = self.sharingSeeded
-            ? 0.75 * self.sharingEwma + 0.25 * sharing
-            : sharing;
-        self.sharingSeeded = true;
-        if (self.sharingEwma < cfg.adaptiveMinSharing)
-            self.serialHold = cfg.adaptiveHoldRuns;
-    }
-
-    for (std::size_t i = 0; i < count; ++i) {
-        const core::SearchResult &r = self.batchResults[i];
-        core::PortResponse resp;
-        resp.tag = jobs[i].request.tag;
-        resp.port = port_no;
-        resp.op = core::PortOp::Search;
-        resp.hit = r.hit;
-        resp.data = r.data;
-        resp.key = r.key;
-        resp.bucketsAccessed = r.bucketsAccessed;
-        finish(self, std::move(resp), jobs[i].enqueued);
-    }
-}
-
-void
 ParallelSearchEngine::executeInsertRun(const Job *jobs, std::size_t count,
                                        unsigned worker_index)
 {
@@ -914,37 +759,34 @@ ParallelSearchEngine::processJobs(const std::vector<Job> &batch,
                                   unsigned index)
 {
     Worker &self = *workers[index];
+    // Prefetch pipeline (DESIGN.md section 4c): before job k executes,
+    // job k + kHintAhead's home row is requested, so the row misses of
+    // a popped batch overlap instead of queueing one behind another.
+    // A hint changes no state; a batch of one issues none.
+    constexpr std::size_t kHintAhead = 4;
+    std::size_t next_hint = 1;
     std::size_t i = 0;
     while (i < batch.size()) {
-        // Extend a run of same-port searches -- or same-port inserts --
-        // up to batchSize; any other request (or a port change) flushes
-        // the run, so mutations never reorder against the requests
-        // around them.
+        // Extend a run of same-port inserts up to batchSize; any other
+        // request (or a port change) ends the run, so mutations never
+        // reorder against the requests around them.
         std::size_t j = i;
         const core::PortOp op = batch[i].request.op;
-        if (cfg.batchSize > 1 &&
-            (op == core::PortOp::Search || op == core::PortOp::Insert)) {
+        if (cfg.batchSize > 1 && op == core::PortOp::Insert) {
             while (j + 1 < batch.size() && j + 1 - i < cfg.batchSize &&
                    batch[j + 1].request.op == op &&
                    batch[j + 1].request.port == batch[i].request.port)
                 ++j;
         }
-        if (j > i && op == core::PortOp::Search && cfg.adaptiveBatch &&
-            self.serialHold > 0) {
-            // Backed off: recent runs found too little row sharing to
-            // amortize the grouping work -- execute serially (results
-            // identical) until the hold expires.
-            --self.serialHold;
-            self.adaptiveSerialRuns.fetch_add(1, std::memory_order_relaxed);
-            for (std::size_t k = i; k <= j; ++k)
-                execute(batch[k].request, batch[k].enqueued, index);
-        } else if (j > i && op == core::PortOp::Search) {
-            executeSearchRun(batch.data() + i, j - i + 1, index);
-        } else if (j > i) {
-            executeInsertRun(batch.data() + i, j - i + 1, index);
-        } else {
-            execute(batch[i].request, batch[i].enqueued, index);
+        for (; next_hint < batch.size() && next_hint <= j + kHintAhead;
+             ++next_hint) {
+            const core::PortRequest &ahead = batch[next_hint].request;
+            sys->database(ahead.port).prefetchHome(ahead.key);
         }
+        if (j > i)
+            executeInsertRun(batch.data() + i, j - i + 1, index);
+        else
+            execute(batch[i].request, batch[i].enqueued, index);
         self.executed += j - i + 1;
         i = j + 1;
     }
@@ -1185,10 +1027,6 @@ ParallelSearchEngine::report() const
             w.modeledCycles.load(std::memory_order_relaxed);
         total_cycles += wc;
         max_cycles = std::max(max_cycles, wc);
-        out.batchedSearchRuns +=
-            w.batchedSearchRuns.load(std::memory_order_relaxed);
-        out.adaptiveSerialRuns +=
-            w.adaptiveSerialRuns.load(std::memory_order_relaxed);
         out.batchedInsertRuns +=
             w.batchedInsertRuns.load(std::memory_order_relaxed);
         {

@@ -51,6 +51,13 @@
  * written by two threads at once (the shared-nothing arrangement of
  * the paper's section 3.4, where each slice answers its own queue).
  *
+ * A worker runs each popped batch behind a prefetch pipeline: before
+ * job k executes, the home row of job k + 4 is requested
+ * (Database::prefetchHome), so the row misses of a batch overlap, as
+ * the paper's banks overlap their row fetches, instead of queueing
+ * one behind another.  The hint changes no state: responses,
+ * bucketsAccessed and modeled cycles are those of unhinted execution.
+ *
  * EngineConfig::rowFanoutMin additionally enables *intra-lookup*
  * parallelism: a lookup whose ternary key duplicates across many home
  * rows is split into home-range shards that idle workers steal from a
@@ -93,42 +100,18 @@ struct EngineConfig
     /** Max requests a worker pops per lock acquisition. */
     std::size_t drainBatch = 64;
     /**
-     * Multi-key batch width: a worker executes up to this many
-     * *consecutive same-port Search* requests from its popped batch as
-     * one Database::searchBatch call -- same-home keys then share row
-     * fetches (and the SIMD multi-key comparator), and the modeled cost
-     * charges the bank once per *distinct* row fetch instead of once
-     * per key.  Result streams and per-request bucketsAccessed stay
-     * bit-identical to serial execution; a non-Search request or a port
-     * change flushes the run.  1 disables batching (serial execution,
-     * the default); ignored in inline mode (workers == 0), which
-     * executes at submit time.
-     *
-     * Consecutive same-port *Insert* requests batch the same way into
-     * one Database::insertBatch call (row-ordered bulk ingest): the
-     * stored table and the response stream stay bit-identical to
-     * serial execution, and the row-op economy is reported in the
-     * engine report's ingest summary.
+     * Insert batch width: a worker executes up to this many
+     * *consecutive same-port Insert* requests from its popped batch as
+     * one Database::insertBatch call (row-ordered bulk ingest).  The
+     * stored table, the response stream and the modeled cycles stay
+     * bit-identical to serial execution, and the row-op economy is
+     * reported in the engine report's ingest summary.  Any other
+     * request or a port change ends the run.  1 disables batching
+     * (serial execution, the default); ignored in inline mode
+     * (workers == 0), which executes at submit time.  Searches always
+     * run one by one behind the prefetch pipeline.
      */
     std::size_t batchSize = 1;
-
-    /**
-     * Adaptive batch controller: each worker measures how much row
-     * sharing its search runs actually find (keys per distinct row
-     * fetch, EWMA-smoothed).  When the sharing drops below
-     * adaptiveMinSharing -- uniform, low-burstiness traffic that
-     * cannot amortize the grouping work -- the worker executes the
-     * next adaptiveHoldRuns search runs serially, then runs one
-     * batched probe run to re-measure.  Result streams stay
-     * bit-identical either way; only the execution strategy (and the
-     * per-distinct-row modeled accounting a batched run enjoys)
-     * changes.
-     */
-    bool adaptiveBatch = false;
-    /** Minimum keys-per-fetch to keep batching (>= 1). */
-    double adaptiveMinSharing = 1.2;
-    /** Search runs executed serially per back-off. */
-    unsigned adaptiveHoldRuns = 64;
 
     /**
      * Intra-lookup row fan-out: a Search key whose candidate home set
@@ -249,10 +232,6 @@ struct EngineReport
     /** Host wall-clock throughput (start() .. drain()), Msps. */
     double wallMsps = 0.0;
     double wallSeconds = 0.0;
-    /** Search runs executed through Database::searchBatch. */
-    uint64_t batchedSearchRuns = 0;
-    /** Search runs the adaptive controller forced serial. */
-    uint64_t adaptiveSerialRuns = 0;
     /** Insert runs executed through Database::insertBatch. */
     uint64_t batchedInsertRuns = 0;
     /** Merged row-op accounting of every batched insert run. */
@@ -410,17 +389,12 @@ class ParallelSearchEngine
      *  joins): the bound reads the slices' non-atomic distance
      *  histograms.  O(ports): no row walk. */
     void refreshAnalyticBounds();
-    /** Run one popped batch through the run-extension loop. */
+    /** Run one popped batch: hint each job's home row a few jobs
+     *  ahead, group insert runs, execute, then publish. */
     void processJobs(const std::vector<Job> &batch, unsigned index);
     void execute(const core::PortRequest &request,
                  std::chrono::steady_clock::time_point enqueued,
                  unsigned worker_index);
-    /** Execute @p count same-port Search jobs as one batched lookup. */
-    void executeSearchRun(const Job *jobs, std::size_t count,
-                          unsigned worker_index);
-    /** One contiguous no-fan-out segment of a search run. */
-    void executeBatchSegment(core::Database &db, const Job *jobs,
-                             std::size_t count, unsigned worker_index);
     /**
      * True when @p key should fan out; fills the worker's fanoutHomes
      * scratch (which executeFanoutSearch then consumes) as a side

@@ -1,5 +1,7 @@
 #include "hash/folding.h"
 
+#include <algorithm>
+
 #include "common/bitops.h"
 #include "common/logging.h"
 #include "common/strings.h"
@@ -8,18 +10,22 @@ namespace caram::hash {
 
 namespace {
 
-/** Read the R-bit chunk starting at bit @p lo from the packed key. */
+/**
+ * Read the R-bit chunk starting at bit @p lo from the packed key: one
+ * shift of its word, plus a second word when the chunk straddles a
+ * word boundary.  The last chunk is cut at the key width.
+ */
 uint64_t
 chunkAt(std::span<const uint64_t> words, unsigned key_bits, unsigned lo,
         unsigned r)
 {
-    uint64_t out = 0;
     const unsigned len = std::min(r, key_bits - lo);
-    for (unsigned i = 0; i < len; ++i) {
-        const unsigned bit = lo + i;
-        out |= ((words[bit / 64] >> (bit % 64)) & 1u) << i;
-    }
-    return out;
+    const unsigned w = lo / 64;
+    const unsigned off = lo % 64;
+    uint64_t out = words[w] >> off;
+    if (off + len > 64)
+        out |= words[w + 1] << (64 - off);
+    return out & maskBits(len);
 }
 
 } // namespace

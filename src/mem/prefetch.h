@@ -3,15 +3,16 @@
 
 /**
  * @file
- * Software prefetch helpers for the batched row pipelines.
+ * Software prefetch helpers for the row pipelines.
  *
- * The batched search and ingest paths know the full set of rows a chunk
- * will touch before the match/placement loops run; issuing prefetches
- * for those rows up front turns a chain of dependent DRAM misses into
- * overlapped ones (memory-level parallelism), which is where the host
- * wall-clock profit of batching a DRAM-resident table comes from.
- * Hints only: correctness never depends on them, and on toolchains
- * without __builtin_prefetch they compile to nothing.
+ * A worker's popped batch of requests (CaRamSlice::prefetchHome, a few
+ * jobs ahead) and a bulk-ingest chunk (CaRamSlice::insertBatch) both
+ * know the rows they will touch before they touch them; requesting
+ * those rows ahead turns a chain of dependent DRAM misses into
+ * overlapped ones (memory-level parallelism), the host rendition of
+ * the paper's overlapping bank fetches.  Hints only: correctness never
+ * depends on them, and on toolchains without __builtin_prefetch they
+ * compile to nothing.
  */
 
 #include <cstdint>

@@ -279,7 +279,7 @@ TEST(ConcurrentMutationDifferential, BinaryFourWorkersBatched)
 
 TEST(ConcurrentMutationDifferential, TernaryFanoutBatched)
 {
-    // Row fan-out forced down to 2 homes: shard stealing, batched runs
+    // Row fan-out forced down to 2 homes: shard stealing, insert runs
     // and the owners' in-place mutations all interleave in one stream.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xc0ffee05);
 }

@@ -7,10 +7,11 @@
  *
  * Each run drives two identically-constructed databases through the
  * same seeded mixed operation stream -- inserts, erases, searches,
- * batched searches and rebuilds, over binary, ternary-exact and LPM
+ * runs of searches and rebuilds, over binary, ternary-exact and LPM
  * key spaces, with don't-care bits in hash positions duplicating
  * lookups across up to 256 candidate home rows.  The oracle executes
- * searches through search()/searchBatch(); the subject executes the
+ * searches through search(), runs of them behind prefetchHome()
+ * hints; the subject executes the
  * same keys through the fan-out decomposition at a randomized shard
  * count (1..32).  Every response field (hit, matched record, LPM
  * priority winner, bucketsAccessed) and the aggregate slice search
@@ -237,7 +238,6 @@ runStream(const Variant &v, uint64_t seed, int ops)
     Rng rng(seed);
     std::vector<Key> population;
     FanoutScratch scratch;
-    std::array<const Key *, 32> batch_ptrs;
     std::array<SearchResult, 32> batch_out;
     std::vector<Key> batch_keys;
 
@@ -299,17 +299,20 @@ runStream(const Variant &v, uint64_t seed, int ops)
             expectSameResult(got, want, k,
                              "shards=" + std::to_string(shards));
         } else {
-            // Batched oracle vs per-key fan-out subject: searchBatch
-            // results are serial-identical, so the fan-out must match
-            // them element for element too.
+            // Pipelined oracle vs per-key fan-out subject: the oracle
+            // runs the engine's prefetch pipeline (hint four ahead,
+            // then search), whose results are serial-identical, so the
+            // fan-out must match them element for element too.
             const unsigned n =
                 static_cast<unsigned>(rng.inRange(2, 32));
             batch_keys.clear();
             for (unsigned i = 0; i < n; ++i)
                 batch_keys.push_back(search_key());
-            for (unsigned i = 0; i < n; ++i)
-                batch_ptrs[i] = &batch_keys[i];
-            oracle->searchBatch(batch_ptrs.data(), n, batch_out.data());
+            for (unsigned i = 0; i < n; ++i) {
+                if (i + 4 < n)
+                    oracle->prefetchHome(batch_keys[i + 4]);
+                batch_out[i] = oracle->search(batch_keys[i]);
+            }
             const unsigned shards =
                 static_cast<unsigned>(rng.inRange(1, kMaxShards));
             for (unsigned i = 0; i < n; ++i) {
@@ -325,7 +328,7 @@ runStream(const Variant &v, uint64_t seed, int ops)
 
     // Counter equivalence: noteFanoutSearch() advanced the subject's
     // aggregate search accounting exactly as the oracle's serial and
-    // batched executions did.
+    // pipelined executions did.
     EXPECT_EQ(subject->slice().searchesPerformed(),
               oracle->slice().searchesPerformed());
     EXPECT_EQ(subject->slice().searchAccesses(),

@@ -19,13 +19,10 @@
  * partial vector groups, whole 64-slot kernel chunks and rows spanning
  * three of them -- so every vector lane and every chunk is exercised.
  * The packed exact-equality scan behind erase is checked against the
- * Key-decoding reference the same way.  The multi-key group evaluator
- * and the batched slice search are checked against their per-key
- * serial definitions.
+ * Key-decoding reference the same way.
  */
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <tuple>
 #include <vector>
@@ -377,112 +374,6 @@ INSTANTIATE_TEST_SUITE_P(Kernels, EqualityForced,
                                             ::testing::Bool()));
 
 // ---------------------------------------------------------------------
-// Multi-key group evaluator: one bucket access serving several packed
-// keys must agree lane-for-lane with the per-key searches.
-
-class MultiKeyForced
-    : public ::testing::TestWithParam<std::tuple<simd::MatchKernel, bool>>
-{
-};
-
-TEST_P(MultiKeyForced, GroupSearchMatchesPerKeySearch)
-{
-    const auto [kernel, lpm] = GetParam();
-    if (!simd::kernelAvailable(kernel))
-        GTEST_SKIP() << "kernel " << simd::kernelName(kernel)
-                     << " not available on this host/build";
-    KernelOverrideGuard guard(kernel);
-
-    SliceConfig cfg;
-    cfg.indexBits = 2;
-    cfg.logicalKeyBits = 144;
-    cfg.ternary = true;
-    cfg.lpm = lpm;
-    cfg.slotsPerBucket = 12; // not a lane-count multiple
-    cfg.dataBits = 13;
-    cfg.maxProbeDistance = 3;
-    cfg.validate();
-    mem::MemoryArray array(cfg.rows(), cfg.storageRowBits());
-    BucketView b(array, cfg, 1);
-    MatchProcessor mp(cfg);
-    ASSERT_EQ(mp.kernel(), kernel);
-
-    Rng rng(lpm ? 31337u : 1337u);
-    auto clustered_key = [&] {
-        Key k = randomKey(rng, cfg.logicalKeyBits, true, 0.7);
-        for (unsigned p = 0; p < cfg.logicalKeyBits; ++p) {
-            if (p % 8 != 0 && k.careBitAt(p))
-                k.setBitAt(p, false, true);
-        }
-        return k;
-    };
-
-    std::array<MatchProcessor::PackedKey, kernels::kMaxGroupKeys> packed;
-    std::array<const MatchProcessor::PackedKey *,
-               kernels::kMaxGroupKeys> ptrs;
-    MatchProcessor::PackedKeyGroup group;
-    std::array<BucketMatch, kernels::kMaxGroupKeys> got;
-
-    for (int fill = 0; fill < 800; ++fill) {
-        array.clearRow(1);
-        std::vector<Key> stored;
-        for (unsigned s = 0; s < cfg.slotsPerBucket; ++s) {
-            if (rng.chance(0.25))
-                continue;
-            const Key k = clustered_key();
-            b.writeSlot(s, k, rng.below(1u << 13));
-            stored.push_back(k);
-        }
-        const unsigned n = static_cast<unsigned>(
-            rng.inRange(1, kernels::kMaxGroupKeys));
-        for (unsigned k = 0; k < n; ++k) {
-            const Key search =
-                (!stored.empty() && rng.chance(0.5))
-                    ? stored[rng.below(stored.size())]
-                    : clustered_key();
-            mp.pack(search, packed[k]);
-            ptrs[k] = &packed[k];
-        }
-        mp.packGroup(ptrs.data(), n, group);
-        ASSERT_EQ(group.keyMask, (n >= 32 ? ~0u : (1u << n) - 1));
-
-        // Random alive subset: lanes outside it must stay untouched.
-        const uint32_t alive =
-            static_cast<uint32_t>(rng.next64()) & group.keyMask;
-        for (unsigned k = 0; k < kernels::kMaxGroupKeys; ++k)
-            got[k].slot = 7777u; // sentinel
-        if (lpm)
-            mp.searchBucketBestKeys(b, group, alive, got.data());
-        else
-            mp.searchBucketKeys(b, group, alive, got.data());
-        for (unsigned k = 0; k < n; ++k) {
-            if (!(alive & (1u << k))) {
-                EXPECT_EQ(got[k].slot, 7777u) << "lane " << k
-                                              << " was written";
-                continue;
-            }
-            const BucketMatch want =
-                lpm ? mp.searchBucketBestPacked(b, packed[k])
-                    : mp.searchBucketPacked(b, packed[k]);
-            ASSERT_EQ(got[k].hit, want.hit) << "lane " << k;
-            if (!want.hit)
-                continue;
-            EXPECT_EQ(got[k].slot, want.slot) << "lane " << k;
-            EXPECT_EQ(got[k].multipleMatch, want.multipleMatch);
-            EXPECT_EQ(got[k].data, want.data);
-            EXPECT_EQ(got[k].key, want.key);
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernels, MultiKeyForced,
-    ::testing::Combine(::testing::Values(simd::MatchKernel::Scalar,
-                                         simd::MatchKernel::Avx2,
-                                         simd::MatchKernel::Avx512),
-                       ::testing::Bool()));
-
-// ---------------------------------------------------------------------
 // Slice level: the full search path (candidate homes from don't-care
 // hash bits, overflow probing, LPM chain scan) against a replica of the
 // legacy decode path built from public APIs.
@@ -639,220 +530,6 @@ TEST(MatchPathEquivalence, Lpm144BitSlice)
         const SearchResult fast = slice.search(search);
         expectSameResult(fast, ref, search);
     }
-}
-
-// ---------------------------------------------------------------------
-// Batched slice search: searchBatch must be a bit-identical drop-in for
-// a serial search() loop -- results, per-key bucketsAccessed, and the
-// slice's aggregate search counters -- across probing policies, LPM,
-// wildcard hash bits (multi-home fallback), every batch size, and every
-// comparator kernel.
-
-struct BatchSliceSetup
-{
-    SliceConfig cfg;
-    std::unique_ptr<CaRamSlice> slice;
-    std::vector<Key> stream;
-};
-
-BatchSliceSetup
-buildBatchSlice(ProbePolicy probe, bool lpm, bool wildcard_hash_bits,
-                uint64_t seed)
-{
-    BatchSliceSetup s;
-    s.cfg.indexBits = 6;
-    s.cfg.logicalKeyBits = 65;
-    s.cfg.ternary = true;
-    s.cfg.lpm = lpm;
-    s.cfg.slotsPerBucket = 8;
-    s.cfg.dataBits = 16;
-    s.cfg.probe = probe;
-    s.cfg.maxProbeDistance = probe == ProbePolicy::None ? 0 : 8;
-    s.cfg.validate();
-    const std::vector<unsigned> taps = {0, 9, 21, 33, 47, 64};
-    s.slice = std::make_unique<CaRamSlice>(
-        s.cfg, std::make_unique<hash::BitSelectIndex>(
-                   s.cfg.logicalKeyBits, taps));
-    Rng rng(seed);
-    std::vector<Key> population;
-    for (int i = 0; i < 260; ++i) {
-        const Key k = randomKey(rng, s.cfg.logicalKeyBits, true, 0.92);
-        if (s.slice->insert(Record{k, rng.below(1u << 16)}).ok)
-            population.push_back(k);
-    }
-    EXPECT_GT(population.size(), 100u);
-    for (int i = 0; i < 2000; ++i) {
-        Key k = rng.chance(0.5)
-                    ? population[rng.below(population.size())]
-                    : randomKey(rng, s.cfg.logicalKeyBits, true,
-                                rng.chance(0.5) ? 1.0 : 0.9);
-        if (wildcard_hash_bits && rng.chance(0.3)) {
-            // Don't-care a hash tap: multi-home serial fallback.
-            k.setBitAt(9, false, false);
-        }
-        // Duplicate bursts: consecutive same-key lookups share a home,
-        // exercising the grouped row walk.
-        const int copies = rng.chance(0.3) ? 1 + (int)rng.below(6) : 1;
-        for (int c = 0; c < copies && (int)s.stream.size() < 2000; ++c)
-            s.stream.push_back(k);
-        if ((int)s.stream.size() >= 2000)
-            break;
-    }
-    return s;
-}
-
-void
-runBatchEquivalence(ProbePolicy probe, bool lpm, bool wildcard,
-                    uint64_t seed)
-{
-    for (auto kernel :
-         {simd::MatchKernel::Scalar, simd::MatchKernel::Avx2,
-          simd::MatchKernel::Avx512}) {
-        if (!simd::kernelAvailable(kernel))
-            continue;
-        KernelOverrideGuard guard(kernel);
-        BatchSliceSetup s = buildBatchSlice(probe, lpm, wildcard, seed);
-        CaRamSlice &slice = *s.slice;
-
-        // Serial reference pass over the whole stream.
-        std::vector<SearchResult> ref;
-        const uint64_t serial_s0 = slice.searchesPerformed();
-        const uint64_t serial_a0 = slice.searchAccesses();
-        for (const Key &k : s.stream)
-            ref.push_back(slice.search(k));
-        const uint64_t serial_searches =
-            slice.searchesPerformed() - serial_s0;
-        const uint64_t serial_accesses =
-            slice.searchAccesses() - serial_a0;
-
-        // Batched passes at several widths over the same slice.
-        std::vector<SearchResult> out(s.stream.size());
-        for (unsigned batch : {2u, 7u, 8u, 32u, 64u}) {
-            const uint64_t s0 = slice.searchesPerformed();
-            const uint64_t a0 = slice.searchAccesses();
-            uint64_t fetches = 0;
-            for (std::size_t off = 0; off < s.stream.size();
-                 off += batch) {
-                const std::size_t n =
-                    std::min<std::size_t>(batch,
-                                          s.stream.size() - off);
-                fetches += slice.searchBatch(
-                    std::span<const Key>(s.stream.data() + off, n),
-                    out.data() + off);
-            }
-            for (std::size_t i = 0; i < s.stream.size(); ++i) {
-                SCOPED_TRACE(::testing::Message()
-                             << "kernel "
-                             << simd::kernelName(kernel) << " batch "
-                             << batch << " index " << i);
-                expectSameResult(out[i], ref[i], s.stream[i]);
-            }
-            // Counter equivalence: the batch advanced the aggregate
-            // counters exactly as the serial loop did, and its actual
-            // row fetches never exceed the serial access count.
-            EXPECT_EQ(slice.searchesPerformed() - s0, serial_searches);
-            EXPECT_EQ(slice.searchAccesses() - a0, serial_accesses);
-            EXPECT_LE(fetches, serial_accesses);
-            EXPECT_GT(fetches, 0u);
-        }
-    }
-}
-
-TEST(BatchSearchEquivalence, LinearTernary)
-{
-    runBatchEquivalence(ProbePolicy::Linear, false, false, 11);
-}
-
-TEST(BatchSearchEquivalence, LinearTernaryWildcardHashBits)
-{
-    runBatchEquivalence(ProbePolicy::Linear, false, true, 22);
-}
-
-TEST(BatchSearchEquivalence, SecondHashSerialFallback)
-{
-    runBatchEquivalence(ProbePolicy::SecondHash, false, false, 33);
-}
-
-TEST(BatchSearchEquivalence, LpmChainMerge)
-{
-    runBatchEquivalence(ProbePolicy::Linear, true, true, 44);
-}
-
-TEST(BatchSearchEquivalence, DuplicateKeysShareRowFetches)
-{
-    // A batch of identical fully-specified keys shares every row fetch:
-    // the batched cost must be one chain walk, not eight.
-    KernelOverrideGuard guard(simd::bestAvailableKernel());
-    BatchSliceSetup s =
-        buildBatchSlice(ProbePolicy::Linear, false, false, 55);
-    CaRamSlice &slice = *s.slice;
-    Rng rng(5);
-    for (int i = 0; i < 200; ++i) {
-        const Key &k = s.stream[rng.below(s.stream.size())];
-        if (!k.fullySpecified())
-            continue;
-        const std::array<const Key *, 8> ptrs = {&k, &k, &k, &k,
-                                                 &k, &k, &k, &k};
-        std::array<SearchResult, 8> out;
-        const uint64_t fetches =
-            slice.searchBatch(ptrs.data(), 8, out.data());
-        uint64_t serial_accesses = 0;
-        for (const SearchResult &r : out)
-            serial_accesses += r.bucketsAccessed;
-        EXPECT_EQ(fetches, out[0].bucketsAccessed)
-            << "identical keys must share one chain walk";
-        EXPECT_EQ(serial_accesses, 8u * out[0].bucketsAccessed);
-    }
-}
-
-TEST(BatchSearchEquivalence, RunOrderedChunkSkipsReorderWork)
-{
-    // A chunk whose keys already arrive grouped by home row must pay
-    // zero reorder work: the O(n) pre-scan detects the run order and
-    // skips the group-by sort entirely.
-    SliceConfig cfg;
-    cfg.indexBits = 6;
-    cfg.logicalKeyBits = 32;
-    cfg.slotsPerBucket = 8;
-    cfg.dataBits = 16;
-    cfg.maxProbeDistance = 8;
-    cfg.validate();
-    CaRamSlice slice(cfg, std::make_unique<hash::LowBitsIndex>(32, 6));
-    Rng rng(31);
-    // Keys emitted bucket-by-bucket: home rows are non-decreasing
-    // across the whole stream, so every chunk is run-ordered.
-    std::vector<Key> stream;
-    for (uint64_t bucket = 0; bucket < cfg.rows(); ++bucket) {
-        for (int r = 0; r < 6; ++r) {
-            const Key k = Key::fromUint(
-                bucket | (rng.below(1u << 20) << cfg.indexBits), 32);
-            if (r % 2 == 0)
-                slice.insert(Record{k, rng.below(1u << 16)});
-            stream.push_back(k);
-        }
-    }
-    std::vector<SearchResult> out(stream.size());
-
-    const uint64_t chunks0 = slice.batchChunksProcessed();
-    const uint64_t skips0 = slice.batchSortsSkipped();
-    slice.searchBatch(stream, out.data());
-    const uint64_t ordered_chunks =
-        slice.batchChunksProcessed() - chunks0;
-    EXPECT_GT(ordered_chunks, 1u); // several chunks, all detected
-    EXPECT_EQ(slice.batchSortsSkipped() - skips0, ordered_chunks);
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-        const SearchResult ref = slice.search(stream[i]);
-        EXPECT_EQ(out[i].hit, ref.hit) << "key " << i;
-        EXPECT_EQ(out[i].data, ref.data) << "key " << i;
-    }
-
-    // The reversed stream is bucket-descending: chunks are NOT
-    // run-ordered and must fall back to the sort (no false skips).
-    std::vector<Key> reversed(stream.rbegin(), stream.rend());
-    const uint64_t skips1 = slice.batchSortsSkipped();
-    slice.searchBatch(reversed, out.data());
-    EXPECT_GT(slice.batchChunksProcessed() - chunks0, ordered_chunks);
-    EXPECT_EQ(slice.batchSortsSkipped(), skips1);
 }
 
 // massUpdate/massCount share the packed predicate; pin them too.

@@ -309,7 +309,8 @@ TEST(PrefilterDifferential, BinaryInlineMode)
 
 TEST(PrefilterDifferential, BinaryFourWorkersBatched)
 {
-    // The grouped-probe batch path: whole groups skip shared rows.
+    // Four owners, each running its popped batches behind the
+    // prefetch pipeline, with insert runs batched.
     runDifferential(binaryVariant(), 6, 4, 8, 0, 0x9f117e02);
 }
 

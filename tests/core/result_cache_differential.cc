@@ -318,7 +318,7 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
 TEST(ResultCacheDifferential, BinaryInlineMode)
 {
     // workers == 0: probe and fill run at submit time on the caller's
-    // thread (the execute() path rather than the batched run path).
+    // thread rather than on a worker.
     runDifferential(binaryVariant(), 4, 0, 1, 0, 0xcac4e001);
 }
 
@@ -334,8 +334,8 @@ TEST(ResultCacheDifferential, BinaryFourWorkersBatched)
 
 TEST(ResultCacheDifferential, TernaryFanout)
 {
-    // Row fan-out forced down to 2 homes: cached hits must drop out of
-    // batches whose misses route through the shard queue.
+    // Row fan-out forced down to 2 homes: cached hits must short-cut
+    // lookups whose misses route through the shard queue.
     runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xcac4e004);
 }
 
@@ -352,7 +352,7 @@ TEST(ResultCacheDifferential, LpmMorePortsThanWorkers)
 TEST(ResultCacheDifferential, BlockingMutationPath)
 {
     // The cache composes with mutations the owning worker executes in
-    // place between its batched search runs.
+    // place between its searches.
     const Variant v = binaryVariant();
     auto oracle_sys = buildSubsystem(v, 4, "oracle");
     auto subject_sys = buildSubsystem(v, 4, "subject");

@@ -7,10 +7,10 @@
  * scratch (MatchProcessor::PackedKey), gathers candidate home rows into
  * a reused scratch vector, and compares raw row words in place -- so
  * after a warm-up lookup has sized the scratch, search(), searchTraced()
- * (with a reserved trace vector), searchBatch() (which additionally
- * groups keys out of the per-slice BatchScratch), countMatching() and
- * the candidate expansion of ternary keys with don't-care hash bits must
- * all be allocation-free, and so must erase()'s packed equality scan.
+ * (with a reserved trace vector), search() behind prefetchHome() hints
+ * (the engine's prefetch pipeline), countMatching() and the candidate
+ * expansion of ternary keys with don't-care hash bits must all be
+ * allocation-free, and so must erase()'s packed equality scan.
  * So must a warmed-up closed-loop round through a threaded
  * ParallelSearchEngine, on the client and the worker alike.  Counted
  * with a global operator new/delete hook, which sees every thread.
@@ -22,7 +22,6 @@
 #include <memory>
 #include <new>
 #include <optional>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -270,59 +269,50 @@ TEST(SearchNoAlloc, TracedSearchWithReservedTrace)
     EXPECT_EQ(n, 0u);
 }
 
-TEST(SearchNoAlloc, BatchedSearchLoop)
+/** The engine's prefetch pipeline on one slice: hint the key four
+ *  ahead, then search the current one. */
+void
+pipelinedSearches(CaRamSlice &slice, const std::vector<Key> &stream,
+                  int rounds)
 {
-    // The batched path (pack, group by home, multi-key compare) runs
-    // entirely out of the per-slice BatchScratch.
-    Fixture f(144, true, false);
-    std::array<SearchResult, 64> out;
-    const uint64_t n = allocationsIn([&] {
-        std::array<const Key *, 64> ptrs;
-        for (int iter = 0; iter < 40; ++iter) {
-            for (unsigned i = 0; i < 64; ++i)
-                ptrs[i] =
-                    &f.keys[(iter * 64 + i * 3) % f.keys.size()];
-            f.slice->searchBatch(ptrs.data(), 64, out.data());
+    const std::size_t n = stream.size();
+    for (int iter = 0; iter < rounds; ++iter) {
+        for (std::size_t i = 0; i < n; ++i) {
+            slice.prefetchHome(stream[(i + 4) % n]);
+            (void)slice.search(stream[i]);
         }
-    });
+    }
+}
+
+TEST(SearchNoAlloc, PrefetchedSearchLoop)
+{
+    // Binary keys: every hint computes an index and issues prefetches.
+    Fixture f(64, false, false);
+    const uint64_t n =
+        allocationsIn([&] { pipelinedSearches(*f.slice, f.keys, 10); });
     EXPECT_EQ(n, 0u);
 }
 
-TEST(SearchNoAlloc, BatchedWildcardHashBitsLoop)
+TEST(SearchNoAlloc, PrefetchedWildcardHashBitsLoop)
 {
-    // Multi-home keys take the serial fallback inside the batch; that
-    // path must stay scratch-only too.
+    // Multi-home keys: the hint is a no-op and the search walks every
+    // candidate home out of the per-slice scratch.
     Fixture f(65, true, false);
     std::vector<Key> wild = f.keys;
     for (Key &k : wild) {
         for (unsigned p = 0; p < 3; ++p)
             k.setBitAt(p, false, false);
     }
-    std::array<SearchResult, 32> out;
-    const uint64_t n = allocationsIn([&] {
-        for (int iter = 0; iter < 40; ++iter) {
-            const unsigned base = (iter * 7) % wild.size();
-            std::array<const Key *, 32> ptrs;
-            for (unsigned i = 0; i < 32; ++i)
-                ptrs[i] = &wild[(base + i) % wild.size()];
-            f.slice->searchBatch(ptrs.data(), 32, out.data());
-        }
-    });
+    const uint64_t n =
+        allocationsIn([&] { pipelinedSearches(*f.slice, wild, 10); });
     EXPECT_EQ(n, 0u);
 }
 
-TEST(SearchNoAlloc, BatchedLpmSpanLoop)
+TEST(SearchNoAlloc, PrefetchedLpmSearchLoop)
 {
     Fixture f(64, true, true);
-    std::array<SearchResult, 48> out;
-    std::vector<Key> stream;
-    for (unsigned i = 0; i < 48; ++i)
-        stream.push_back(f.keys[(i * 5) % f.keys.size()]);
-    const uint64_t n = allocationsIn([&] {
-        for (int iter = 0; iter < 40; ++iter)
-            f.slice->searchBatch(std::span<const Key>(stream),
-                                 out.data());
-    });
+    const uint64_t n =
+        allocationsIn([&] { pipelinedSearches(*f.slice, f.keys, 10); });
     EXPECT_EQ(n, 0u);
 }
 
@@ -445,8 +435,9 @@ TEST(SearchNoAlloc, ResultCacheUncachedFallthroughLoop)
 
 TEST(SearchNoAlloc, PrefilteredSearchLoop)
 {
-    // Pre-filter consultation on the serial, batched and fan-out-prune
-    // paths: signature hashing, counter reads and the skip accounting
+    // Pre-filter consultation on the serial, pipelined and
+    // fan-out-prune paths: signature hashing, counter reads and the
+    // skip accounting
     // are all fixed-size atomics -- enabling the filter must not add a
     // single allocation to any steady-state search loop.
     Fixture f(64, false, false);
@@ -455,17 +446,11 @@ TEST(SearchNoAlloc, PrefilteredSearchLoop)
     std::vector<Key> mixed = f.keys;
     for (int i = 0; i < 100; ++i)
         mixed.push_back(Key::fromUint(rng.next64(), 64)); // mostly absent
-    std::array<SearchResult, 32> out;
     std::vector<uint64_t> homes;
     const uint64_t n = allocationsIn([&] {
         for (int i = 0; i < 1000; ++i)
             f.slice->search(mixed[i % mixed.size()]);
-        for (int iter = 0; iter < 40; ++iter) {
-            std::array<const Key *, 32> ptrs;
-            for (unsigned i = 0; i < 32; ++i)
-                ptrs[i] = &mixed[(iter * 32 + i) % mixed.size()];
-            f.slice->searchBatch(ptrs.data(), 32, out.data());
-        }
+        pipelinedSearches(*f.slice, mixed, 4);
         for (int i = 0; i < 200; ++i) {
             f.slice->candidateHomes(mixed[i % mixed.size()], homes);
             f.slice->prefilterPruneHomes(mixed[i % mixed.size()],

@@ -214,6 +214,42 @@ TEST(Slice, EraseSpilledRecord)
     slice->checkIntegrity();
 }
 
+TEST(Slice, PrefetchHomeIsOnlyAHint)
+{
+    // A hint changes nothing: a search stream interleaved with hints
+    // four keys ahead answers exactly what the plain stream answers,
+    // counters included, and the keys the hint skips (another width,
+    // don't-care bits, the empty key) are harmless no-ops.
+    auto plain = makeSlice(binaryConfig());
+    auto hinted = makeSlice(binaryConfig());
+    Rng rng(77);
+    std::vector<Key> stream;
+    for (int i = 0; i < 200; ++i) {
+        const Record rec{Key::fromUint(rng.below(1u << 12), 32),
+                         rng.below(1u << 16)};
+        EXPECT_EQ(plain->insert(rec).ok, hinted->insert(rec).ok);
+        stream.push_back(rec.key);
+        stream.push_back(Key::fromUint(rng.below(1u << 12), 32));
+    }
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        if (i + 4 < stream.size())
+            hinted->prefetchHome(stream[i + 4]);
+        hinted->prefetchHome(Key::fromUint(i, 16));
+        hinted->prefetchHome(Key::ternary(i, 0xff00, 32));
+        hinted->prefetchHome(Key());
+        const SearchResult want = plain->search(stream[i]);
+        const SearchResult got = hinted->search(stream[i]);
+        ASSERT_EQ(got.hit, want.hit) << "key " << i;
+        EXPECT_EQ(got.data, want.data) << "key " << i;
+        EXPECT_EQ(got.row, want.row) << "key " << i;
+        EXPECT_EQ(got.slot, want.slot) << "key " << i;
+        EXPECT_EQ(got.bucketsAccessed, want.bucketsAccessed) << "key " << i;
+    }
+    EXPECT_EQ(hinted->searchesPerformed(), plain->searchesPerformed());
+    EXPECT_EQ(hinted->searchAccesses(), plain->searchAccesses());
+    hinted->checkIntegrity();
+}
+
 TEST(Slice, DuplicateKeySearchReturnsOne)
 {
     auto slice = makeSlice(binaryConfig());

@@ -279,9 +279,9 @@ TEST(Engine, RetainedDatabaseYieldsErrorsNotDeath)
 
 TEST(Engine, BatchedResultsMatchSerialAcrossBatchSizes)
 {
-    // A duplicate-heavy stream (small key space) so batched runs group
-    // same-home keys; result streams must stay bit-identical to serial
-    // at every batch width.
+    // A duplicate-heavy stream (small key space): searches run one by
+    // one behind the prefetch pipeline at every batch width, and the
+    // result streams stay bit-identical to serial.
     Rng rng(123);
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
@@ -450,60 +450,6 @@ TEST(Engine, BatchedIngestMatchesSerial)
     expectSameTable(sys->database(1), serial_sys->database(1));
 }
 
-TEST(Engine, AdaptiveBatchBacksOffOnUniformTraffic)
-{
-    // Uniform wide-keyspace searches find almost no row sharing: the
-    // adaptive controller must fall back to serial runs (and the
-    // result stream must not change).  The bursty counterpart keeps
-    // the sharing high and must never trigger the backoff.
-    auto serial_sys = buildLoaded(1, 150);
-    const auto uniform = searchStream(1, 2000, 21);
-    // No env mirroring: the subject engine pins the filter off below.
-    const auto reference = serialReference(*serial_sys, uniform, false);
-
-    auto sys = buildLoaded(1, 150);
-    EngineConfig cfg;
-    cfg.workers = 1;
-    cfg.batchSize = 32;
-    cfg.adaptiveBatch = true;
-    cfg.adaptiveMinSharing = 1.5;
-    // The backoff thresholds below are tuned to unfiltered row-fetch
-    // counts; the pre-filter skipping miss rows legitimately changes
-    // the sharing signal, so pin it off for this controller test.
-    cfg.prefilter = false;
-    ParallelSearchEngine eng(*sys, cfg);
-    eng.start();
-    EXPECT_EQ(eng.submitBatch(uniform), uniform.size());
-    eng.drain();
-    expectMatchesReference(eng, reference);
-    eng.stop();
-    EXPECT_GT(eng.report().adaptiveSerialRuns, 0u);
-
-    // Bursty: long same-key trains share one chain walk per train.
-    Rng rng(23);
-    std::vector<PortRequest> bursty;
-    uint64_t tag = 0;
-    while (bursty.size() < 2000) {
-        const Key k = Key::fromUint(rng.below(1u << 26), 32);
-        for (unsigned t = 0; t < 8 && bursty.size() < 2000; ++t) {
-            PortRequest req;
-            req.port = 0;
-            req.op = PortOp::Search;
-            req.key = k;
-            req.tag = ++tag;
-            bursty.push_back(std::move(req));
-        }
-    }
-    auto sys2 = buildLoaded(1, 150);
-    ParallelSearchEngine eng2(*sys2, cfg);
-    eng2.start();
-    EXPECT_EQ(eng2.submitBatch(bursty), bursty.size());
-    eng2.drain();
-    eng2.stop();
-    EXPECT_EQ(eng2.report().adaptiveSerialRuns, 0u);
-    EXPECT_GT(eng2.report().batchedSearchRuns, 0u);
-}
-
 TEST(Engine, RebuildRepacksThroughPort)
 {
     auto sys = buildLoaded(1, 0);
@@ -564,11 +510,12 @@ TEST(Engine, BulkLoadMatchesSerialConstruction)
     expectSameTable(sys->database(0), serial_sys->database(0));
 }
 
-TEST(Engine, BatchingReducesModeledCyclesOnDuplicateKeys)
+TEST(Engine, BatchSizeLeavesSearchModeledCyclesUnchanged)
 {
-    // Bursts of the same key share chain walks inside a batched run:
-    // the port's modeled busy cycles must drop below the serial run's,
-    // while the reported bucketsAccessed histogram stays identical.
+    // Searches run one by one behind the prefetch pipeline whatever
+    // batchSize says: bursts of one key are charged one chain walk per
+    // request, exactly as at batchSize 1, and the hints change neither
+    // responses nor bucketsAccessed.
     Rng rng(5);
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
@@ -583,30 +530,35 @@ TEST(Engine, BatchingReducesModeledCyclesOnDuplicateKeys)
             stream.push_back(std::move(req));
         }
     }
+    auto serial_sys = buildLoaded(1, 150);
+    // No env mirroring: the subject engines pin the filter off below.
+    const auto reference = serialReference(*serial_sys, stream, false);
+    uint64_t serial_accesses = 0;
+    for (const PortResponse &r : reference[0])
+        serial_accesses += std::max(1u, r.bucketsAccessed);
     auto run = [&](std::size_t batch) {
         auto sys = buildLoaded(1, 150);
         EngineConfig cfg;
         cfg.workers = 1;
         cfg.batchSize = batch;
         cfg.queueCapacity = stream.size() + 1;
-        // Pin the result cache off: this test measures chain-walk
-        // sharing, which a hot-key cache would short-circuit entirely.
+        // Pin the cache and the filter off: this test counts chain
+        // walks, which either would shorten.
         cfg.resultCacheEntries = 0;
+        cfg.prefilter = false;
         ParallelSearchEngine eng(*sys, cfg);
-        // Queue everything before starting the worker so the popped
-        // batches (and thus the grouped runs) are deterministic.
+        // Queue everything before starting the worker so every popped
+        // batch is a full one (the pipeline hints inside it).
         eng.submitBatch(stream);
         eng.start();
         eng.drain();
         eng.stop();
+        expectMatchesReference(eng, reference);
         return eng.portStats(0).modeledCycles.load();
     };
-    const uint64_t serial_cycles = run(1);
-    const uint64_t batched_cycles = run(32);
-    EXPECT_LT(batched_cycles, serial_cycles);
-    // Eight copies of each key per burst: the shared walks should cut
-    // the modeled cost well below the serial run, not marginally.
-    EXPECT_LT(batched_cycles * 2, serial_cycles);
+    const uint64_t n_mem = std::max(1u, EngineConfig{}.timing.minCycleGap);
+    EXPECT_EQ(run(1), serial_accesses * n_mem);
+    EXPECT_EQ(run(32), serial_accesses * n_mem);
 }
 
 TEST(Engine, InlineModeIgnoresBatchSize)
@@ -984,15 +936,16 @@ TEST(Engine, FanoutReducesModeledCyclesOnWideLookups)
 
 TEST(Engine, FanoutBatchInteractionMatchesSerial)
 {
-    // Batched runs with fan-out keys interspersed: eligible keys leave
-    // the batch and fan out, the segments between them still batch,
-    // and the response stream stays bit-identical in submission order.
+    // Bursts of one key with fan-out keys interspersed, at insert batch
+    // widths that leave searches one by one: eligible keys fan out
+    // between hinted single-key lookups, and the response stream stays
+    // bit-identical in submission order.
     Rng rng(37);
     std::vector<PortRequest> stream;
     uint64_t tag = 0;
     while (stream.size() < 800) {
-        // Bursts of one fully specified key (row sharing for the
-        // batch), then an occasional wide wildcard lookup.
+        // Bursts of one fully specified key (hinted single-key
+        // lookups), then an occasional wide wildcard lookup.
         const Key k = ternaryKey(rng, 0);
         for (int c = 0; c < 6 && stream.size() < 800; ++c) {
             PortRequest req;
@@ -1028,9 +981,7 @@ TEST(Engine, FanoutBatchInteractionMatchesSerial)
         eng.drain();
         eng.stop();
         expectMatchesReference(eng, reference);
-        const EngineReport rep = eng.report();
-        EXPECT_GT(rep.batchedSearchRuns, 0u);
-        EXPECT_GT(rep.fanoutLookups, 0u);
+        EXPECT_GT(eng.report().fanoutLookups, 0u);
     }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "common/key.h"
@@ -139,6 +141,66 @@ TEST(Folding, AddFoldCarriesWrap)
     AddFoldIndex gen(8);
     const Key k = Key::fromUint(0xff01u, 16);
     EXPECT_EQ(gen.index(k.valueWords(), 16), 0x00u); // 0x01 + 0xff = 0x100
+}
+
+/** The folding hashes read one bit at a time: the definition the
+ *  word-shift chunk reader must reproduce.  Reads only bits below
+ *  @p key_bits. */
+uint64_t
+referenceFold(const uint64_t *words, unsigned key_bits, unsigned r,
+              bool add)
+{
+    uint64_t out = 0;
+    for (unsigned lo = 0; lo < key_bits; lo += r) {
+        const unsigned len = std::min(r, key_bits - lo);
+        uint64_t chunk = 0;
+        for (unsigned i = 0; i < len; ++i) {
+            const unsigned bit = lo + i;
+            chunk |= ((words[bit / 64] >> (bit % 64)) & 1u) << i;
+        }
+        out = add ? out + chunk : out ^ chunk;
+    }
+    return out & ((uint64_t{1} << r) - 1);
+}
+
+TEST(Folding, ChunkStraddlingAWordAndShortLastChunk)
+{
+    // R = 48 on a 128-bit key: chunk 1 covers bits 48..95 across the
+    // word boundary, chunk 2 is the short tail 96..127.
+    const uint64_t words[2] = {0xffff000000000000ull, 0x8000000000000001ull};
+    // Chunk 0 = 0; chunk 1 = bits 48..64 = 0x1ffff; chunk 2 = bit 127
+    // = 1 << 31.
+    EXPECT_EQ(XorFoldIndex(48).index(words, 128),
+              0x1ffffull ^ (uint64_t{1} << 31));
+    EXPECT_EQ(AddFoldIndex(48).index(words, 128),
+              0x1ffffull + (uint64_t{1} << 31));
+}
+
+TEST(Folding, BitIdenticalToBitAtATimeReference)
+{
+    // Every key width 1..256 against every R in 1..63: chunks straddle
+    // a word boundary wherever 64 % R != 0, and the last chunk is short
+    // wherever the width is not a multiple of R.  The words carry
+    // random bits past the width too, which the hash must ignore.
+    Rng rng(2026);
+    for (unsigned bits = 1; bits <= Key::kMaxKeyBits; ++bits) {
+        for (unsigned r = 1; r <= 63; ++r) {
+            const XorFoldIndex xor_fold(r);
+            const AddFoldIndex add_fold(r);
+            for (int rep = 0; rep < 2; ++rep) {
+                uint64_t words[Key::kWords];
+                for (uint64_t &w : words)
+                    w = rng.next64();
+                const std::span<const uint64_t> span(words, Key::kWords);
+                ASSERT_EQ(xor_fold.index(span, bits),
+                          referenceFold(words, bits, r, false))
+                    << "xor-fold bits " << bits << " r " << r;
+                ASSERT_EQ(add_fold.index(span, bits),
+                          referenceFold(words, bits, r, true))
+                    << "add-fold bits " << bits << " r " << r;
+            }
+        }
+    }
 }
 
 TEST(Folding, RejectsBadWidths)

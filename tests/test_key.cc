@@ -282,5 +282,34 @@ TEST(KeyProperty, MatchAgainstBitwiseReference)
     }
 }
 
+/** Property: fullySpecified() and carePopcount() agree with a per-bit
+ *  count at every width 0..256, on random care masks. */
+TEST(KeyProperty, CareCountsAgainstPerBitReference)
+{
+    Rng rng(14);
+    for (unsigned bits = 0; bits <= Key::kMaxKeyBits; ++bits) {
+        for (int iter = 0; iter < 24; ++iter) {
+            uint64_t value[Key::kWords];
+            uint64_t care[Key::kWords];
+            for (unsigned w = 0; w < Key::kWords; ++w) {
+                value[w] = rng.next64();
+                // All ones (bits past the width are normalized away),
+                // all ones but one bit, or random.
+                care[w] = iter % 3 == 2 ? rng.next64() : ~uint64_t{0};
+            }
+            if (iter % 3 == 1 && bits > 0) {
+                const unsigned j = static_cast<unsigned>(rng.below(bits));
+                care[j / 64] &= ~(uint64_t{1} << (j % 64));
+            }
+            const Key k = Key::fromWords(value, care, bits);
+            unsigned ref = 0;
+            for (unsigned p = 0; p < bits; ++p)
+                ref += k.careBitAt(p) ? 1 : 0;
+            ASSERT_EQ(k.carePopcount(), ref) << "bits " << bits;
+            ASSERT_EQ(k.fullySpecified(), ref == bits) << "bits " << bits;
+        }
+    }
+}
+
 } // namespace
 } // namespace caram
