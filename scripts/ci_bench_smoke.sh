@@ -34,13 +34,6 @@
 # s=0.99 hit rate, uplift and churn hit rate are also compared against
 # the checked-in baseline (within 10%).
 #
-# The pre-filter section runs ext_prefilter, which self-gates on the
-# per-row counting pre-filter: >= 2x modeled-cycle reduction on
-# 90%-miss and 99%-miss binary uniform traffic, bit-identical filtered
-# result streams on every hit-rate/distribution/kernel cell, and <= 5%
-# modeled overhead on 100%-hit traffic; its 90%-miss reduction is also
-# compared against the checked-in baseline.
-#
 # Every bench emits standardized "PASS: " / "FAIL: " gate lines
 # (bench/bench_common.h); this script scrapes them into a per-metric
 # summary table at the end, so a red run names the offending metric
@@ -57,8 +50,6 @@
 #       --json bench/baselines/BENCH_row_fanout.baseline.json
 #   build/bench/ext_parallel_engine 10000 \
 #       --json bench/baselines/BENCH_result_cache.baseline.json
-#   build/bench/ext_prefilter \
-#       --json bench/baselines/BENCH_prefilter.baseline.json
 #
 # Usage: scripts/ci_bench_smoke.sh [build-dir]   (default build)
 set -euo pipefail
@@ -70,14 +61,12 @@ SIMD_BASELINE="bench/baselines/BENCH_simd_batch.baseline.json"
 INGEST_BASELINE="bench/baselines/BENCH_bulk_ingest.baseline.json"
 FANOUT_BASELINE="bench/baselines/BENCH_row_fanout.baseline.json"
 CACHE_BASELINE="bench/baselines/BENCH_result_cache.baseline.json"
-PREFILTER_BASELINE="bench/baselines/BENCH_prefilter.baseline.json"
 MAX_REGRESSION="${MAX_REGRESSION:-2.0}"
 LOOKUPS="${LOOKUPS:-100000}"
 
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target micro_match_path \
-    ext_bulk_ingest ext_row_fanout ext_parallel_engine \
-    ext_prefilter
+    ext_bulk_ingest ext_row_fanout ext_parallel_engine
 
 LOG_DIR="$BUILD_DIR/bench-logs"
 mkdir -p "$LOG_DIR"
@@ -120,11 +109,6 @@ run_bench result_cache \
     "$BUILD_DIR"/bench/ext_parallel_engine 10000 \
     --json "$BUILD_DIR"/BENCH_result_cache.json \
     --baseline "$CACHE_BASELINE"
-
-run_bench prefilter \
-    "$BUILD_DIR"/bench/ext_prefilter \
-    --json "$BUILD_DIR"/BENCH_prefilter.json \
-    --baseline "$PREFILTER_BASELINE"
 
 # ---------------------------------------------------------------------
 # Per-metric summary: one row per gate line, offending metrics last so

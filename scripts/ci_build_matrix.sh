@@ -30,17 +30,7 @@
 #      measure per-lookup slice work pin an explicit 0, which always
 #      wins over the environment knob.
 #
-#   5. The SIMD build rerun with CARAM_PREFILTER=1: every engine whose
-#      config leaves EngineConfig::prefilter unset now consults the
-#      per-row counting pre-filter on every search path, and the
-#      engine-vs-serial differentials mirror the knob onto their
-#      oracle subsystems -- so the whole suite doubles as a
-#      filtered-vs-filtered equivalence sweep, bucketsAccessed
-#      accounting included.  Tests that assert exact unfiltered fetch
-#      counts pin an explicit false, which always wins over the
-#      environment knob.
-#
-#   6. An ASan+UBSan build in its own directory (-fsanitize=address,
+#   5. An ASan+UBSan build in its own directory (-fsanitize=address,
 #      undefined with -fno-sanitize-recover=undefined, plus
 #      -D_GLIBCXX_ASSERTIONS for libstdc++'s bounds checks, e.g. span
 #      and vector indexing): the full suite must run with no sanitizer
@@ -75,11 +65,7 @@ echo "=== leg 4: SIMD build, result cache forced on ==="
 CARAM_RESULT_CACHE_ENTRIES=4096 ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 5: SIMD build, pre-filter forced on ==="
-CARAM_PREFILTER=1 ctest --test-dir "$SIMD_DIR" \
-    --output-on-failure
-
-echo "=== leg 6: ASan+UBSan build + full ctest ==="
+echo "=== leg 5: ASan+UBSan build + full ctest ==="
 cmake -B "$ASAN_DIR" -S . -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined \
 -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 cmake --build "$ASAN_DIR" -j"$(nproc)"

@@ -13,10 +13,9 @@
 #  - the result cache hammer: concurrent fill/probe/invalidate on the
 #    per-entry seqlocks (ResultCacheHammer.*, ResultCache*).
 #
-# The engine-vs-serial differentials (ConcurrentMutationDifferential.*,
-# PrefilterDifferential.*) and the brute-force reference differential
-# (ReferenceDifferential.*) ride along.  Any data race fails the
-# script.
+# The engine-vs-serial differential (ConcurrentMutationDifferential.*)
+# and the brute-force reference differential (ReferenceDifferential.*)
+# ride along.  Any data race fails the script.
 #
 # Usage: scripts/ci_tsan.sh [build-dir]   (default build-tsan)
 set -euo pipefail
@@ -28,7 +27,7 @@ cmake -B "$BUILD_DIR" -S . -DCARAM_TSAN=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --target test_concurrent_queue test_engine \
     concurrent_mutation_differential result_cache_differential \
-    prefilter_differential reference_differential
+    reference_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|CompletionLatch|Engine|ConcurrentMutation|ResultCache|Prefilter|ReferenceDifferential' \
+    -R 'ConcurrentQueue|CompletionLatch|Engine|ConcurrentMutation|ResultCache|ReferenceDifferential' \
     --output-on-failure

@@ -101,6 +101,20 @@ BucketView::clearSlot(unsigned i)
                       0);
 }
 
+uint64_t
+BucketView::validMask(unsigned w) const
+{
+    const uint64_t *row = rowData();
+    const uint64_t stride = cfg->slotBits();
+    const unsigned first = w * 64;
+    const unsigned lim = std::min(cfg->slotsPerBucket - first, 64u);
+    uint64_t bit = first * stride + cfg->storedKeyBits() + cfg->dataBits;
+    uint64_t mask = 0;
+    for (unsigned s = 0; s < lim; ++s, bit += stride)
+        mask |= ((row[bit / 64] >> (bit % 64)) & 1) << s;
+    return mask;
+}
+
 int
 BucketView::firstFreeSlot() const
 {

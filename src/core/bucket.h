@@ -49,6 +49,13 @@ class BucketView
     /** Invalidate slot @p i. */
     void clearSlot(unsigned i);
 
+    /**
+     * Valid bits of slots [64 * w, 64 * w + 64) as a mask, bit s for
+     * slot 64 * w + s (bits past the last slot are zero), read from
+     * the row words with shifts instead of one readBits() per slot.
+     */
+    uint64_t validMask(unsigned w) const;
+
     /** First invalid slot, or -1 when the bucket is full. */
     int firstFreeSlot() const;
 

@@ -217,21 +217,6 @@ class Database
     CaRamSlice &slice() { return *slice_; }
     const CaRamSlice &slice() const { return *slice_; }
 
-    /**
-     * Enable or disable pre-filter consultation on the main slice and
-     * (when present) the overflow slice.  rebuild() repacks in place,
-     * so the setting survives it.
-     */
-    void
-    setPrefilterEnabled(bool on)
-    {
-        slice_->setPrefilterEnabled(on);
-        if (overflowSlice_)
-            overflowSlice_->setPrefilterEnabled(on);
-    }
-
-    bool prefilterEnabled() const { return slice_->prefilterEnabled(); }
-
     /** The overflow TCAM, or nullptr when not using ParallelTcam. */
     cam::Tcam *overflowTcam() { return overflow_.get(); }
     const cam::Tcam *overflowTcam() const { return overflow_.get(); }

@@ -54,7 +54,6 @@ CaRamSlice::CaRamSlice(const SliceConfig &config,
                         (unsigned long long)idxGen->rowCount(),
                         (unsigned long long)cfg.rows()));
     homeDemandPerBucket.assign(cfg.rows(), 0);
-    filter_.reset(cfg.rows());
     // Region shift: the highest row index must map below kCacheRegions.
     // Computed from bit_width so non-power-of-two row counts
     // (SliceConfig::rowOverride) land in range too.
@@ -117,10 +116,8 @@ CaRamSlice::searchRegionMask(const Key &search_key,
 {
     if (search_key.bits() != cfg.logicalKeyBits)
         fatal("key width does not match the slice configuration");
-    // The FULL candidate home set, before any pre-filter pruning: a
-    // pruned home that later gains a matching record must still
-    // invalidate this lookup's cached entry, and its home row is where
-    // that insert writes (slot or reach/aux word).
+    // The full candidate home set: an insert into any of them writes
+    // its home row (slot or reach/aux word).
     scratch.clear();
     if (search_key.fullySpecified()) {
         scratch.push_back(
@@ -203,12 +200,9 @@ CaRamSlice::insertAt(uint64_t home_row, const Record &record)
         noteRowDirty(row);
         b.writeSlot(static_cast<unsigned>(slot), record.key, record.data);
         b.setUsedCount(b.usedCount() + 1);
-        filter_.add(row, record.key);
         BucketView home = bucket(home_row);
         noteRowDirty(home_row);
-        const unsigned reach = std::max(home.reach(), d);
-        home.setReach(reach);
-        filter_.setReach(home_row, reach);
+        home.setReach(std::max(home.reach(), d));
         ++homeDemandPerBucket[home_row];
         distanceHist.add(d);
         ++recordCount;
@@ -232,9 +226,6 @@ CaRamSlice::removePlacement(const InsertResult &placement)
     if (!b.slotValid(placement.slot))
         panic("placement slot is no longer valid");
     noteRowDirty(placement.placedRow);
-    // The placement carries no key: read it back before the clear so
-    // the filter's counters can be lowered for the right key.
-    filter_.remove(placement.placedRow, b.slotKey(placement.slot));
     b.clearSlot(placement.slot);
     b.setUsedCount(b.usedCount() - 1);
     --homeDemandPerBucket[placement.homeRow];
@@ -367,13 +358,8 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
         ig.usedAtFetch.push_back(ig.used.back());
         ig.reachAtFetch.push_back(ig.reach.back());
         ig.dirty.push_back(0);
-        for (unsigned w = 0; w < mask_words; ++w) {
-            uint64_t bits = 0;
-            const unsigned lim = std::min(slots - w * 64, 64u);
-            for (unsigned s = 0; s < lim; ++s)
-                bits |= uint64_t{b.slotValid(w * 64 + s)} << s;
-            ig.valid.push_back(bits);
-        }
+        for (unsigned w = 0; w < mask_words; ++w)
+            ig.valid.push_back(b.validMask(w));
         ig.table[pos] = static_cast<int32_t>(e);
         if ((ig.row.size() + 1) * 2 > ig.table.size())
             rehash();
@@ -484,16 +470,8 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
         BucketView b = bucket(row);
         noteRowDirty(row);
         b.writeSlot(pl.slot, rec.key, rec.data);
-        // The filter replays the serial order: insert() added the copy,
-        // and -- for dead placements -- removePlacement() took it back
-        // out (sticky counter saturation makes the add/remove pair
-        // idempotent-at-worst, never unsound).
-        filter_.add(row, rec.key);
         if (pl.dead) {
             b.clearSlot(pl.slot);
-            filter_.remove(row, rec.key);
-        }
-        if (pl.dead) {
             // Serial rollback adds the distance sample and then removes
             // it; Histogram::remove never shrinks the bin vector, so
             // replay the pair to keep loadStats() bins bit-identical.
@@ -518,7 +496,6 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
             noteRowDirty(ig.row[e]);
             b.setUsedCount(ig.used[e]);
             b.setReach(ig.reach[e]);
-            filter_.setReach(ig.row[e], ig.reach[e]);
         }
         if (aux_changed || ig.dirty[e])
             ++sum.rowWritebacks;
@@ -552,33 +529,10 @@ CaRamSlice::searchChain(uint64_t home,
                         const MatchProcessor::PackedKey &packed,
                         SearchResult &best, std::vector<uint64_t> *trace)
 {
-    // With the pre-filter consulted, the chain length comes from the
-    // filter's reach mirror (no home-row touch) and provably-miss rows
-    // are skipped before the fetch and the bucketsAccessed charge --
-    // only the skip changes; a row that is fetched is matched exactly
-    // as before, so hit payloads and non-skipped accounting are
-    // bit-identical to the unfiltered walk.
-    const bool pf = prefilterActive();
-    uint64_t sig = 0;
-    bool sig_usable = false;
-    unsigned reach;
-    if (pf) {
-        sig_usable = packed.key.fullySpecified();
-        sig = RowPrefilter::signatureOf(packed.key);
-        reach = filter_.reach(home);
-    } else {
-        reach = bucket(home).reach();
-    }
+    // The home row's aux word says how far the chain reaches.
+    const unsigned reach = bucket(home).reach();
     for (unsigned d = 0; d <= reach; ++d) {
         const uint64_t row = probeRow(home, d, packed.key);
-        if (pf) {
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            if (!filter_.mayMatch(row, sig, sig_usable)) {
-                prefilterSkips_.fetch_add(1,
-                                          std::memory_order_relaxed);
-                continue;
-            }
-        }
         ++best.bucketsAccessed;
         if (trace)
             trace->push_back(row);
@@ -672,33 +626,6 @@ CaRamSlice::candidateHomes(const Key &search_key,
                                  search_key.bits(), out);
 }
 
-void
-CaRamSlice::prefilterPruneHomes(const Key &search_key,
-                                std::vector<uint64_t> &homes)
-{
-    if (!prefilterActive())
-        return;
-    const uint64_t sig = RowPrefilter::signatureOf(search_key);
-    const bool sig_usable = search_key.fullySpecified();
-    std::size_t w = 0;
-    for (const uint64_t home : homes) {
-        unsigned reach = 0;
-        const bool may =
-            filter_.consultHome(home, sig, sig_usable, reach);
-        if (!may && reach == 0) {
-            // The chain is this single row and it provably cannot
-            // match: a shard walk would have consulted it once and
-            // skipped -- charge exactly that, and drop the home so no
-            // sub-task is enqueued for it.
-            prefilterProbes_.fetch_add(1, std::memory_order_relaxed);
-            prefilterSkips_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-        }
-        homes[w++] = home;
-    }
-    homes.resize(w);
-}
-
 SearchResult
 CaRamSlice::searchRows(const MatchProcessor::PackedKey &packed,
                        const uint64_t *homes, unsigned n)
@@ -762,7 +689,6 @@ CaRamSlice::eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed)
         if (slot < 0)
             continue;
         noteRowDirty(row);
-        filter_.remove(row, key);
         b.clearSlot(static_cast<unsigned>(slot));
         b.setUsedCount(b.usedCount() - 1);
         --homeDemandPerBucket[home];
@@ -874,8 +800,6 @@ CaRamSlice::fillHole(uint64_t row, unsigned slot)
         const Key key = rb.slotKey(from);
         hole.writeSlot(slot, key, rb.slotData(from));
         hole.setUsedCount(hole.usedCount() + 1);
-        filter_.add(row, key);
-        filter_.remove(r, key);
         rb.clearSlot(from);
         rb.setUsedCount(rb.usedCount() - 1);
         distanceHist.remove(best_d);
@@ -917,7 +841,6 @@ CaRamSlice::trimReach(uint64_t home)
         return;
     noteRowDirty(home);
     home_bucket.setReach(reach);
-    filter_.setReach(home, reach);
 }
 
 unsigned
@@ -980,9 +903,6 @@ CaRamSlice::ramLoad(uint64_t word_addr) const
 void
 CaRamSlice::ramStore(uint64_t word_addr, uint64_t value)
 {
-    // Raw stores rewrite row bits behind the filter's back: declare it
-    // stale until adoptRamContents()/clear() rebuild it wholesale.
-    filter_.suspend();
     noteRowDirty(word_addr / array_.wordsPerRow());
     array_.storeWord(word_addr, value);
 }
@@ -995,9 +915,6 @@ CaRamSlice::adoptRamContents()
     distanceHist = Histogram();
     recordCount = 0;
     spilledCount = 0;
-    // Wholesale filter rebuild from the adopted bits; also lifts a
-    // ramStore() suspension (the only way to lift one).
-    filter_.clearAll();
 
     // First pass: fix every row's used count and clear its reach.
     for (uint64_t row = 0; row < cfg.rows(); ++row) {
@@ -1047,11 +964,8 @@ CaRamSlice::adoptRamContents()
             ++recordCount;
             if (dist > 0)
                 ++spilledCount;
-            filter_.add(row, key);
             BucketView home_bucket = bucket(home);
-            const unsigned reach = std::max(home_bucket.reach(), dist);
-            home_bucket.setReach(reach);
-            filter_.setReach(home, reach);
+            home_bucket.setReach(std::max(home_bucket.reach(), dist));
         }
     }
 }
@@ -1091,15 +1005,12 @@ CaRamSlice::clear()
 {
     noteAllRowsDirty();
     array_.clearAll();
-    filter_.clearAll();
     homeDemandPerBucket.assign(cfg.rows(), 0);
     distanceHist = Histogram();
     recordCount = 0;
     spilledCount = 0;
     searchCount = 0;
     accessCount = 0;
-    prefilterProbes_.store(0, std::memory_order_relaxed);
-    prefilterSkips_.store(0, std::memory_order_relaxed);
 }
 
 void

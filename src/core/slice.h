@@ -24,7 +24,6 @@
 #include "core/config.h"
 #include "core/load_stats.h"
 #include "core/match_processor.h"
-#include "core/prefilter.h"
 #include "core/record.h"
 #include "hash/index_generator.h"
 #include "mem/memory_array.h"
@@ -236,67 +235,6 @@ class CaRamSlice
     void noteFanoutSearch(unsigned buckets_accessed);
     /// @}
 
-    /// @name Per-row counting pre-filter (guaranteed-miss short-circuit)
-    /// @{
-    /**
-     * Gate *consultation* of the per-row pre-filter (RowPrefilter; see
-     * DESIGN.md section 4e).  The filter's counters are maintained by
-     * every mutation path regardless of this flag -- a handful of
-     * relaxed atomic stores per placed or erased copy -- so flipping
-     * consultation on or off never requires a rebuild, and the default
-     * (off) leaves every search path's row fetches and access
-     * accounting exactly as they were.  With consultation on, rows the
-     * filter proves empty of any possible match are skipped before the
-     * fetch and before the bucketsAccessed charge; result payloads
-     * (hit/data/key, LPM winner) are unchanged.  Engine-owned slices
-     * get this set from EngineConfig::prefilter / CARAM_PREFILTER.
-     */
-    void
-    setPrefilterEnabled(bool on)
-    {
-        prefilterEnabled_.store(on, std::memory_order_relaxed);
-    }
-
-    bool
-    prefilterEnabled() const
-    {
-        return prefilterEnabled_.load(std::memory_order_relaxed);
-    }
-
-    /** Rows consulted / rows skipped by the filter across all search
-     *  paths (EngineReport surfaces the per-engine sums). */
-    uint64_t
-    prefilterProbes() const
-    {
-        return prefilterProbes_.load(std::memory_order_relaxed);
-    }
-
-    uint64_t
-    prefilterSkips() const
-    {
-        return prefilterSkips_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Drop candidate homes whose whole probe chain the filter proves
-     * empty (mirrored reach 0 and a failing home-row consult) from
-     * @p homes, preserving order -- the fan-out path's shard pruning.
-     * Counts one probe and one skip per *pruned* home only; surviving
-     * homes are consulted again inside the shard walks, so the counter
-     * totals match a serial filtered search of the same key.  No-op
-     * while consultation is disabled or the filter is suspended.
-     */
-    void prefilterPruneHomes(const Key &search_key,
-                             std::vector<uint64_t> &homes);
-
-    /** Filter memory footprint, bytes (overhead accounting). */
-    uint64_t
-    prefilterMemoryBytes() const
-    {
-        return filter_.memoryBytes();
-    }
-    /// @}
-
     /**
      * Prefetch hint for an operation on @p key that is about to run:
      * the first min(row bytes, 512) bytes of its home row, where the
@@ -424,17 +362,15 @@ class CaRamSlice
     /**
      * Region coverage of a lookup for @p search_key: the union of
      * cacheRegionBit() over every candidate home row (the full
-     * duplication set, pre-filter pruning NOT applied -- a pruned home
-     * that later gains a record must still invalidate) and every row
-     * its probe chain can currently touch (distances 0..reach).  A
-     * lookup whose enumeration would exceed an internal cost bound
-     * returns ~0 (all regions).  Any mutation that could change this
-     * lookup's result dirties at least one covered region: a plain
-     * slot write dirties the chain row itself, and a reach extension
-     * beyond the current chain writes the home row's aux word, whose
-     * region is always covered.  Uses the same single-owner discipline
-     * as search(); @p scratch is caller-owned home scratch, cleared and
-     * refilled.
+     * duplication set) and every row its probe chain can currently
+     * touch (distances 0..reach).  A lookup whose enumeration would
+     * exceed an internal cost bound returns ~0 (all regions).  Any
+     * mutation that could change this lookup's result dirties at least
+     * one covered region: a plain slot write dirties the chain row
+     * itself, and a reach extension beyond the current chain writes the
+     * home row's aux word, whose region is always covered.  Uses the
+     * same single-owner discipline as search(); @p scratch is
+     * caller-owned home scratch, cleared and refilled.
      */
     uint64_t searchRegionMask(const Key &search_key,
                               std::vector<uint64_t> &scratch);
@@ -522,15 +458,6 @@ class CaRamSlice
     noteAllRowsDirty()
     {
         dirtyRegions_.store(~uint64_t{0}, std::memory_order_relaxed);
-    }
-
-    /** Consultation on and the filter trustworthy (not suspended by a
-     *  RAM-mode store)?  Checked once per search entry point. */
-    bool
-    prefilterActive() const
-    {
-        return prefilterEnabled_.load(std::memory_order_relaxed) &&
-               !filter_.suspended();
     }
 
     SliceConfig cfg;
@@ -624,17 +551,6 @@ class CaRamSlice
     // takeDirtyRegionMask().
     unsigned cacheRegionShift_ = 0;
     std::atomic<uint64_t> dirtyRegions_{0};
-
-    // The per-row counting pre-filter.  Maintained unconditionally by
-    // every mutation path; consulted by the search paths only when
-    // prefilterEnabled_ says
-    // so and no RAM-mode store has suspended it.  The skip/probe
-    // counters are atomic because fan-out shard workers walk chains
-    // concurrently (relaxed: they are observability, not ordering).
-    RowPrefilter filter_;
-    std::atomic<bool> prefilterEnabled_{false};
-    mutable std::atomic<uint64_t> prefilterProbes_{0};
-    mutable std::atomic<uint64_t> prefilterSkips_{0};
 };
 
 } // namespace caram::core

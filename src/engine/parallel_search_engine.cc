@@ -65,29 +65,6 @@ envResultCacheEntries()
     return static_cast<std::size_t>(v);
 }
 
-/** CARAM_PREFILTER, parsed fresh on every call like the knobs above.
- *  The forced-filter CI leg sets it to 1 so every engine whose config
- *  leaves `prefilter` unset runs the whole suite consulting the
- *  per-row pre-filter. */
-std::optional<bool>
-envPrefilter()
-{
-    const char *env = std::getenv("CARAM_PREFILTER");
-    if (!env || !*env)
-        return std::nullopt;
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || v > 1) {
-        static std::atomic<bool> warned{false};
-        if (!warned.exchange(true))
-            warn(strprintf("CARAM_PREFILTER=%s is not 0 or 1; the "
-                           "pre-filter stays config-controlled",
-                           env));
-        return std::nullopt;
-    }
-    return v != 0;
-}
-
 } // namespace
 
 /** A request travelling through a worker queue, stamped at enqueue. */
@@ -222,18 +199,6 @@ ParallelSearchEngine::ParallelSearchEngine(core::CaRamSubsystem &subsystem,
             cache_entries, cfg.resultCacheWays,
             static_cast<unsigned>(sys->databaseCount()));
     }
-    // Pre-filter: an explicit config value (including an explicit
-    // false, which pins the filter off) always wins over the
-    // environment.  The flag lives on the slices themselves.
-    prefilter_ = cfg.prefilter.value_or(false);
-    if (!cfg.prefilter.has_value()) {
-        if (const auto env = envPrefilter())
-            prefilter_ = *env;
-    }
-    for (std::size_t p = 0; p < sys->databaseCount(); ++p) {
-        sys->database(static_cast<unsigned>(p))
-            .setPrefilterEnabled(prefilter_);
-    }
     fanoutTasks = std::make_unique<sim::ConcurrentBoundedQueue<FanoutTask>>(
         std::max<std::size_t>(16,
                               std::size_t{workerCount} *
@@ -366,12 +331,6 @@ ParallelSearchEngine::fanoutEligible(core::Database &db, const Key &key,
     if (key.bits() != db.slice().config().logicalKeyBits)
         return false; // let the serial path report the width mismatch
     db.slice().candidateHomes(key, self.fanoutHomes);
-    // Shard pruning: homes whose whole chain the filter proves empty
-    // never become sub-tasks (they contribute zero accesses either
-    // way, so the merged result stays bit-identical to the serial
-    // filtered walk).  A lookup pruned below the threshold falls back
-    // to the serial path -- which skips the same rows.
-    db.slice().prefilterPruneHomes(key, self.fanoutHomes);
     return self.fanoutHomes.size() >= rowFanoutMin_;
 }
 
@@ -390,11 +349,7 @@ ParallelSearchEngine::executeFanoutSearch(
 {
     Worker &self = *workers[worker_index];
     core::CaRamSlice &sl = db.slice();
-    // Stamp capture before any shard touches the table.  The region
-    // mask is recomputed from the FULL candidate home set -- the
-    // pruned fanoutHomes scratch is not enough, because a pre-filter-
-    // pruned home that later gains a matching record must still
-    // invalidate this entry.
+    // Stamp capture before any shard touches the table.
     uint64_t cache_mask = 0;
     uint64_t cache_stamp = 0;
     if (resultCache_) {
@@ -1082,12 +1037,6 @@ ParallelSearchEngine::report() const
             out.analyticBoundMsps +=
                 std::bit_cast<double>(ports[p]->analyticBoundBits.load(
                     std::memory_order_relaxed));
-        out.prefilterProbes += db.slice().prefilterProbes();
-        out.prefilterSkips += db.slice().prefilterSkips();
-        if (const core::CaRamSlice *ov = db.overflowSlice()) {
-            out.prefilterProbes += ov->prefilterProbes();
-            out.prefilterSkips += ov->prefilterSkips();
-        }
     }
     out.wallSeconds =
         wallEndNs.load(std::memory_order_acquire) / 1e9;

@@ -158,19 +158,6 @@ struct EngineConfig
     /** Cache set associativity (clamped to [1, ResultCache::kMaxWays]). */
     unsigned resultCacheWays = 4;
 
-    /**
-     * Per-row counting pre-filter consultation (core/prefilter.h): the
-     * engine sets Database::setPrefilterEnabled on every port database
-     * at construction, so guaranteed-miss row fetches are skipped
-     * before they charge modeled cycles.  Result payloads and the
-     * non-skipped access accounting stay bit-identical.  nullopt (the
-     * default)
-     * defers to the CARAM_PREFILTER environment variable (0/1, re-read
-     * at each engine's construction like CARAM_ROW_FANOUT_MIN -- see
-     * resolvedPrefilter()); an explicit value always wins, so `false`
-     * pins the filter off even under the forced-filter CI leg.
-     */
-    std::optional<bool> prefilter{};
 };
 
 /**
@@ -261,13 +248,6 @@ struct EngineReport
     uint64_t cacheWholePortInvalidations = 0;
     /** Cache invalidations served by the precise region path. */
     uint64_t cacheRegionInvalidations = 0;
-    /** Rows the pre-filter was consulted for, summed over the served
-     *  databases (main + overflow slices); read live from the slices'
-     *  atomic counters. */
-    uint64_t prefilterProbes = 0;
-    /** Consulted rows the filter proved unable to match -- fetches
-     *  (and their modeled cycles) that were never issued. */
-    uint64_t prefilterSkips = 0;
 };
 
 /** Shards a CaRamSubsystem's ports across worker threads. */
@@ -359,9 +339,8 @@ class ParallelSearchEngine
         return resultCache_ ? resultCache_->entryCount() : 0;
     }
 
-    /** The pre-filter setting this engine resolved at construction
-     *  (config value, or CARAM_PREFILTER read at that moment). */
-    bool resolvedPrefilter() const { return prefilter_; }
+    /** Always false; kept for the benchmark until ROADMAP item 9. */
+    bool resolvedPrefilter() const { return false; }
 
     /** Always false; kept for the benchmark until ROADMAP item 9. */
     bool resolvedMaintenance() const { return false; }
@@ -454,8 +433,6 @@ class ParallelSearchEngine
     unsigned workerCount;  ///< sharding groups (>= 1 even when inline)
     /** Resolved fan-out threshold (config, or CARAM_ROW_FANOUT_MIN). */
     unsigned rowFanoutMin_ = 0;
-    /** Resolved pre-filter setting (config, or CARAM_PREFILTER). */
-    bool prefilter_ = false;
     /** Hot-key result cache (null = off; see resultCacheEntries). */
     std::unique_ptr<ResultCache> resultCache_;
     /** Shared shard sub-task queue the workers steal from. */

@@ -19,10 +19,8 @@
  * with the owners' mutations).  ci_tsan.sh runs this suite under TSan.
  */
 
-#include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -163,20 +161,10 @@ mixedStream(const Variant &v, unsigned nports, std::size_t total,
     return stream;
 }
 
-/** Execute the stream strictly serially, in submission order.  The
- *  forced-filter CI leg (CARAM_PREFILTER=1) enables pre-filter
- *  consultation on the engine's slices only; mirror it onto the
- *  engine-less oracle so the bucketsAccessed comparison holds on both
- *  sides of the differential. */
+/** Execute the stream strictly serially, in submission order. */
 std::vector<std::vector<PortResponse>>
 serialOracle(CaRamSubsystem &sys, const std::vector<PortRequest> &stream)
 {
-    if (const char *env = std::getenv("CARAM_PREFILTER");
-        env && std::string_view(env) == "1") {
-        for (std::size_t p = 0; p < sys.databaseCount(); ++p)
-            sys.database(static_cast<unsigned>(p))
-                .setPrefilterEnabled(true);
-    }
     std::vector<std::vector<PortResponse>> per_port(sys.databaseCount());
     for (const PortRequest &req : stream)
         per_port[req.port].push_back(

@@ -3,7 +3,8 @@
  *  rows, aux fields, placement statistics and per-record outcomes --
  *  across binary/ternary/LPM key mixes, overflow probing (Linear,
  *  SecondHash, None), rollback residue of failed records, erase-created
- *  slot holes and chunk-boundary crossings. */
+ *  slot holes, rows wider than one 64-slot valid mask and
+ *  chunk-boundary crossings. */
 
 #include "core/slice.h"
 
@@ -34,6 +35,24 @@ makeSlice(const SliceConfig &cfg, const GenFactory &gen = {})
                                                   cfg.indexBits));
 }
 
+/** The word-shifted valid masks the bulk ingest reads agree with the
+ *  per-slot readBits() path on every row. */
+void
+expectValidMasksMatchSlots(CaRamSlice &slice)
+{
+    const unsigned slots = slice.config().slotsPerBucket;
+    for (uint64_t row = 0; row < slice.config().rows(); ++row) {
+        const BucketView b = slice.bucket(row);
+        for (unsigned w = 0; w * 64 < slots; ++w) {
+            uint64_t want = 0;
+            for (unsigned s = 0; s < 64 && w * 64 + s < slots; ++s)
+                want |= uint64_t{b.slotValid(w * 64 + s)} << s;
+            ASSERT_EQ(b.validMask(w), want)
+                << "row " << row << " mask word " << w;
+        }
+    }
+}
+
 /** Raw rows, aux integrity and every placement statistic agree. */
 void
 expectIdentical(CaRamSlice &serial, CaRamSlice &batched)
@@ -61,6 +80,7 @@ expectIdentical(CaRamSlice &serial, CaRamSlice &batched)
     EXPECT_DOUBLE_EQ(sa.amalUniform(), sb.amalUniform());
     serial.checkIntegrity();
     batched.checkIntegrity();
+    expectValidMasksMatchSlots(batched);
 }
 
 /** Feed @p records serially into one slice and batched into another
@@ -124,6 +144,30 @@ burstyBinary(const SliceConfig &cfg, unsigned count, uint64_t seed)
     return out;
 }
 
+/**
+ * Binary linear-probing shapes whose rows need more than one 64-slot
+ * valid mask: 8 rows of 96 slots of 49 bits and of 192 slots of 46
+ * bits, so slot boundaries and valid bits straddle row words.
+ */
+std::vector<SliceConfig>
+wideRowShapes()
+{
+    std::vector<SliceConfig> out;
+    for (const auto &[slots, data_bits] :
+         {std::pair{96u, 16u}, std::pair{192u, 13u}}) {
+        SliceConfig cfg;
+        cfg.indexBits = 3;
+        cfg.logicalKeyBits = 32;
+        cfg.slotsPerBucket = slots;
+        cfg.dataBits = data_bits;
+        cfg.probe = ProbePolicy::Linear;
+        cfg.maxProbeDistance = 2;
+        EXPECT_NE(cfg.slotBits() % 64, 0u);
+        out.push_back(cfg);
+    }
+    return out;
+}
+
 TEST(InsertBatchDifferential, BinaryLinearBurstyWithFailures)
 {
     SliceConfig cfg;
@@ -134,6 +178,14 @@ TEST(InsertBatchDifferential, BinaryLinearBurstyWithFailures)
     cfg.probe = ProbePolicy::Linear;
     cfg.maxProbeDistance = 3; // tight: bursty trains overflow and fail
     runDifferential(cfg, burstyBinary(cfg, 300, 1));
+    // Wide rows, loaded to 130% of their slots so trains fail too.
+    for (const SliceConfig &wide : wideRowShapes()) {
+        SCOPED_TRACE(::testing::Message()
+                     << wide.slotsPerBucket << " slots per row");
+        const auto count = static_cast<unsigned>(
+            wide.rows() * wide.slotsPerBucket * 13 / 10);
+        runDifferential(wide, burstyBinary(wide, count, 10));
+    }
 }
 
 TEST(InsertBatchDifferential, ProbeNoneFillsAndRejects)
@@ -160,6 +212,24 @@ TEST(InsertBatchDifferential, SecondHashKeyDependentProbes)
     runDifferential(cfg, burstyBinary(cfg, 120, 3));
 }
 
+/** Pre-state with erase-created holes: insert @p count random keys,
+ *  then erase every other one that was placed. */
+std::function<void(CaRamSlice &)>
+eraseHoles(unsigned count)
+{
+    return [count](CaRamSlice &s) {
+        Rng rng(77);
+        std::vector<Key> keys;
+        for (unsigned i = 0; i < count; ++i) {
+            const Key k = Key::fromUint(rng.below(1u << 24), 32);
+            if (s.insert(Record{k, i}).ok)
+                keys.push_back(k);
+        }
+        for (std::size_t i = 0; i < keys.size(); i += 2)
+            s.erase(keys[i]);
+    };
+}
+
 TEST(InsertBatchDifferential, EraseHolesChangeSlotChoice)
 {
     SliceConfig cfg;
@@ -173,18 +243,30 @@ TEST(InsertBatchDifferential, EraseHolesChangeSlotChoice)
     // count no longer points at the first free slot, so insertAt()'s
     // fast path and firstFreeSlot() disagree -- the simulation must
     // reproduce the exact serial choice.
-    auto prepare = [&cfg](CaRamSlice &s) {
-        Rng rng(77);
-        std::vector<Key> keys;
-        for (unsigned i = 0; i < 100; ++i) {
-            const Key k = Key::fromUint(rng.below(1u << 24), 32);
-            if (s.insert(Record{k, i}).ok)
-                keys.push_back(k);
+    runDifferential(cfg, burstyBinary(cfg, 150, 4), eraseHoles(100));
+    // Wide rows filled to about 85% before the erases, so holes open
+    // above slot 64, in the rows' second and third valid-mask words.
+    for (const SliceConfig &wide : wideRowShapes()) {
+        SCOPED_TRACE(::testing::Message()
+                     << wide.slotsPerBucket << " slots per row");
+        const auto fill = static_cast<unsigned>(
+            wide.rows() * wide.slotsPerBucket * 85 / 100);
+        const auto prepare = eraseHoles(fill);
+        auto probe = makeSlice(wide);
+        prepare(*probe);
+        // Holes: free slots at 64 or above with a live slot after them.
+        unsigned high_holes = 0;
+        for (uint64_t row = 0; row < wide.rows(); ++row) {
+            const BucketView b = probe->bucket(row);
+            int last = -1;
+            for (unsigned i = 0; i < b.slots(); ++i)
+                last = b.slotValid(i) ? static_cast<int>(i) : last;
+            for (int i = 64; i < last; ++i)
+                high_holes += b.slotValid(static_cast<unsigned>(i)) ? 0 : 1;
         }
-        for (std::size_t i = 0; i < keys.size(); i += 2)
-            s.erase(keys[i]);
-    };
-    runDifferential(cfg, burstyBinary(cfg, 150, 4), prepare);
+        EXPECT_GT(high_holes, 0u) << "no erase hole above slot 64";
+        runDifferential(wide, burstyBinary(wide, fill / 2, 11), prepare);
+    }
 }
 
 TEST(InsertBatchDifferential, TernaryMultiHomeDuplication)

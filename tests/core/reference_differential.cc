@@ -31,7 +31,9 @@
  * inserted twice would survive one erase (erase_repair.cc pins that
  * rule).  Swept over workers {0, 1, 2, 4} x batchSize {1, 32}, plus an
  * erase-heavy leg over the binary tables loaded near capacity, where
- * nearly every erase repairs its hole by shifting records back.
+ * nearly every erase repairs its hole by shifting records back, and a
+ * RAM-mode leg whose stream runs on a copy of the loaded tables made
+ * with raw word stores (ramStore) and adoptRamContents().
  */
 
 #include <algorithm>
@@ -288,7 +290,35 @@ struct Mix
     double insert = 0.10;
     double erase = 0.06;
     double rebuild = 0.02; ///< the rest are searches
+    /** Serve the stream from a RAM-mode copy of the loaded tables. */
+    bool ramCopy = false;
 };
+
+/**
+ * A fresh subsystem holding the tables of @p src, copied through RAM
+ * mode: every word of each slice (main and overflow) is stored raw
+ * with ramStore(), then adoptRamContents() rebuilds the aux fields and
+ * placement statistics from the copied bits alone.
+ */
+std::unique_ptr<CaRamSubsystem>
+ramCopyOf(CaRamSubsystem &src, const std::vector<Variant> &variants)
+{
+    auto dst = std::make_unique<CaRamSubsystem>(1024, 1024, true);
+    auto copy = [](core::CaRamSlice &from, core::CaRamSlice &to) {
+        for (uint64_t w = 0; w < from.ramWords(); ++w)
+            to.ramStore(w, from.ramLoad(w));
+        to.adoptRamContents();
+        EXPECT_EQ(to.size(), from.size());
+        to.checkIntegrity();
+    };
+    for (unsigned p = 0; p < variants.size(); ++p) {
+        auto &db = dst->addDatabase(dbConfig(variants[p]));
+        copy(src.database(p).slice(), db.slice());
+        if (core::CaRamSlice *ov = src.database(p).overflowSlice())
+            copy(*ov, *db.overflowSlice());
+    }
+    return dst;
+}
 
 /** One leg: the tables of @p variants (one per port), a base
  *  population, then a seeded stream through an engine built from
@@ -301,12 +331,12 @@ runLeg(const std::vector<Variant> &variants, const EngineConfig &cfg,
                  << "workers " << cfg.workers << " batch "
                  << cfg.batchSize << " seed " << seed);
     const auto nports = static_cast<unsigned>(variants.size());
-    CaRamSubsystem sys(1024, 1024, true);
+    auto sys = std::make_unique<CaRamSubsystem>(1024, 1024, true);
     std::vector<Reference> refs;
     std::vector<KeySource> sources;
     for (unsigned p = 0; p < nports; ++p) {
         const Variant &v = variants[p];
-        auto &db = sys.addDatabase(dbConfig(v));
+        auto &db = sys->addDatabase(dbConfig(v));
         refs.emplace_back(v.lpm);
         sources.emplace_back(v, seed * 31 + p);
         for (int i = 0; i < mix.baseRecords; ++i) {
@@ -316,6 +346,8 @@ runLeg(const std::vector<Variant> &variants, const EngineConfig &cfg,
                 refs[p].insert(r);
         }
     }
+    if (mix.ramCopy)
+        sys = ramCopyOf(*sys, variants);
 
     Rng rng(seed);
     std::vector<PortRequest> stream;
@@ -344,7 +376,7 @@ runLeg(const std::vector<Variant> &variants, const EngineConfig &cfg,
         stream.push_back(std::move(req));
     }
 
-    ParallelSearchEngine eng(sys, cfg);
+    ParallelSearchEngine eng(*sys, cfg);
     eng.start();
     ASSERT_EQ(eng.submitBatch(stream), stream.size());
     eng.stop();
@@ -393,7 +425,7 @@ runLeg(const std::vector<Variant> &variants, const EngineConfig &cfg,
     // stream inserted and a fresh batch of searches.
     for (unsigned p = 0; p < nports; ++p) {
         SCOPED_TRACE(variants[p].name);
-        auto &db = sys.database(p);
+        auto &db = sys->database(p);
         for (int i = 0; i < 300; ++i) {
             const Key k = i % 2 == 0 && sources[p].haveInserted()
                 ? sources[p].replay()
@@ -443,6 +475,26 @@ TEST(ReferenceDifferential, BinaryTablesEraseHeavyHighLoad)
     mix.erase = 0.33;
     mix.rebuild = 0.002;
     runLeg({binaryVariant(), overflowSliceVariant()}, cfg, 0x7ef99, mix);
+}
+
+TEST(ReferenceDifferential, RamModeCopyServesTheStream)
+{
+    // Tables loaded well past their home rows (chains spill, the
+    // ParallelSlice table fills its overflow slice), copied word by
+    // word into fresh slices and adopted; the Search/Insert/Erase
+    // stream then runs on the copies.  Adoption is exact for records
+    // with one home, so the ternary table, whose spilled duplicated
+    // copies cannot be re-attributed from the raw bits
+    // (CaRamSlice::adoptRamContents), is left out.
+    EngineConfig cfg;
+    cfg.workers = 2;
+    cfg.batchSize = 32;
+    Mix mix;
+    mix.baseRecords = 150;
+    mix.rebuild = 0.0;
+    mix.ramCopy = true;
+    runLeg({binaryVariant(), lpmVariant(), overflowSliceVariant()}, cfg,
+           0x7efa0, mix);
 }
 
 } // namespace

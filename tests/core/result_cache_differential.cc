@@ -30,7 +30,6 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -212,20 +211,10 @@ mixedStream(const Variant &v, unsigned nports, std::size_t total,
     return stream;
 }
 
-/** Execute the stream strictly serially, in submission order.  The
- *  forced-filter CI leg (CARAM_PREFILTER=1) enables pre-filter
- *  consultation on the engine's slices only; mirror it onto the
- *  engine-less oracle so the bucketsAccessed comparison holds on both
- *  sides of the differential. */
+/** Execute the stream strictly serially, in submission order. */
 std::vector<std::vector<PortResponse>>
 serialOracle(CaRamSubsystem &sys, const std::vector<PortRequest> &stream)
 {
-    if (const char *env = std::getenv("CARAM_PREFILTER");
-        env && std::string_view(env) == "1") {
-        for (std::size_t p = 0; p < sys.databaseCount(); ++p)
-            sys.database(static_cast<unsigned>(p))
-                .setPrefilterEnabled(true);
-    }
     std::vector<std::vector<PortResponse>> per_port(sys.databaseCount());
     for (const PortRequest &req : stream)
         per_port[req.port].push_back(

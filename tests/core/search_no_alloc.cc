@@ -433,15 +433,11 @@ TEST(SearchNoAlloc, ResultCacheUncachedFallthroughLoop)
     EXPECT_EQ(n, 0u);
 }
 
-TEST(SearchNoAlloc, PrefilteredSearchLoop)
+TEST(SearchNoAlloc, MissHeavySearchLoop)
 {
-    // Pre-filter consultation on the serial, pipelined and
-    // fan-out-prune paths: signature hashing, counter reads and the
-    // skip accounting
-    // are all fixed-size atomics -- enabling the filter must not add a
-    // single allocation to any steady-state search loop.
+    // Mostly absent keys on the serial, pipelined and candidate-home
+    // paths: a miss walks its whole chain without touching the heap.
     Fixture f(64, false, false);
-    f.slice->setPrefilterEnabled(true);
     Rng rng(99);
     std::vector<Key> mixed = f.keys;
     for (int i = 0; i < 100; ++i)
@@ -451,25 +447,20 @@ TEST(SearchNoAlloc, PrefilteredSearchLoop)
         for (int i = 0; i < 1000; ++i)
             f.slice->search(mixed[i % mixed.size()]);
         pipelinedSearches(*f.slice, mixed, 4);
-        for (int i = 0; i < 200; ++i) {
+        for (int i = 0; i < 200; ++i)
             f.slice->candidateHomes(mixed[i % mixed.size()], homes);
-            f.slice->prefilterPruneHomes(mixed[i % mixed.size()],
-                                         homes);
-        }
     });
     EXPECT_EQ(n, 0u);
-    EXPECT_GT(f.slice->prefilterSkips(), 0u);
 }
 
-TEST(SearchNoAlloc, PrefilterMaintainLoop)
+TEST(SearchNoAlloc, IngestEraseCycleLoop)
 {
-    // Filter maintenance rides the mutation paths: the batch ingest
-    // and erase keep the counters, occupancy and reach mirror current
-    // without touching the heap once the ingest scratch is warm.
-    // (Single-record insert() allocates displacement scratch with the
-    // filter off too, so it is not part of this loop.)
+    // A full cycle on one slice: bulk ingest, searches, an erase of
+    // every record (each repairing its hole), searches that now miss.
+    // Once the ingest scratch is warm, none of it touches the heap.
+    // (Single-record insert() allocates its placement vector, so it is
+    // not part of this loop.)
     Fixture f(64, false, false);
-    f.slice->setPrefilterEnabled(true);
     Rng rng(4242);
     std::vector<Record> records;
     for (unsigned i = 0; i < 300; ++i)
@@ -482,7 +473,7 @@ TEST(SearchNoAlloc, PrefilterMaintainLoop)
         for (const Record &rec : records)
             f.slice->erase(rec.key);
         for (unsigned i = 0; i < 64; ++i)
-            f.slice->search(records[i].key); // all skipped now
+            f.slice->search(records[i].key);
     });
     EXPECT_EQ(n, 0u);
 }

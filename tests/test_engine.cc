@@ -11,7 +11,6 @@
 #include <cstdlib>
 #include <span>
 #include <string>
-#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -87,23 +86,11 @@ searchStream(unsigned nports, std::size_t per_port, uint64_t seed = 7)
     return stream;
 }
 
-/** Drain a subsystem serially, returning per-port response streams.
- *  The forced-filter CI leg (CARAM_PREFILTER=1) turns pre-filter
- *  consultation on for engine-owned slices only; the oracle subsystem
- *  has no engine, so mirror the setting here -- the differentials then
- *  verify the filtered engine against a filtered serial reference,
- *  bucketsAccessed included. */
+/** Drain a subsystem serially, returning per-port response streams. */
 std::vector<std::vector<PortResponse>>
 serialReference(CaRamSubsystem &sys,
-                const std::vector<PortRequest> &stream,
-                bool mirror_env_prefilter = true)
+                const std::vector<PortRequest> &stream)
 {
-    if (const char *env = std::getenv("CARAM_PREFILTER");
-        mirror_env_prefilter && env && std::string_view(env) == "1") {
-        for (std::size_t p = 0; p < sys.databaseCount(); ++p)
-            sys.database(static_cast<unsigned>(p))
-                .setPrefilterEnabled(true);
-    }
     std::vector<std::vector<PortResponse>> per_port(
         sys.databaseCount());
     std::size_t next = 0;
@@ -531,8 +518,7 @@ TEST(Engine, BatchSizeLeavesSearchModeledCyclesUnchanged)
         }
     }
     auto serial_sys = buildLoaded(1, 150);
-    // No env mirroring: the subject engines pin the filter off below.
-    const auto reference = serialReference(*serial_sys, stream, false);
+    const auto reference = serialReference(*serial_sys, stream);
     uint64_t serial_accesses = 0;
     for (const PortResponse &r : reference[0])
         serial_accesses += std::max(1u, r.bucketsAccessed);
@@ -542,10 +528,9 @@ TEST(Engine, BatchSizeLeavesSearchModeledCyclesUnchanged)
         cfg.workers = 1;
         cfg.batchSize = batch;
         cfg.queueCapacity = stream.size() + 1;
-        // Pin the cache and the filter off: this test counts chain
-        // walks, which either would shorten.
+        // Pin the cache off: this test counts chain walks, which
+        // cached answers would shorten.
         cfg.resultCacheEntries = 0;
-        cfg.prefilter = false;
         ParallelSearchEngine eng(*sys, cfg);
         // Queue everything before starting the worker so every popped
         // batch is a full one (the pipeline hints inside it).
@@ -855,10 +840,6 @@ TEST(Engine, FanoutStatsAccounted)
     cfg.workers = 0;
     cfg.rowFanoutMin = 2;
     cfg.rowFanoutMaxShards = 8;
-    // Shard counts below are exact; the pre-filter would prune homes
-    // with empty chains, so pin it off (explicit false beats the
-    // forced-filter CI leg, like the result cache's explicit 0).
-    cfg.prefilter = false;
     ParallelSearchEngine eng(*sys, cfg);
     Rng rng(9);
     uint64_t tag = 0;
@@ -885,7 +866,6 @@ TEST(Engine, FanoutStatsAccounted)
     EngineConfig cfg2;
     cfg2.workers = 0;
     cfg2.rowFanoutMin = 1;
-    cfg2.prefilter = false; // same exact-count reasoning as above
     ParallelSearchEngine eng2(*sys2, cfg2);
     for (int i = 0; i < 5; ++i)
         ASSERT_TRUE(eng2.submit(0, ternaryKey(rng, 0), ++tag));
@@ -1325,17 +1305,10 @@ mixedPortStream(unsigned nports, std::size_t count, uint64_t seed,
 }
 
 /** The oracle: core::executePortRequest applied to each request in
- *  submission order, collected per port.  Mirrors CARAM_PREFILTER onto
- *  the oracle's databases like serialReference(). */
+ *  submission order, collected per port. */
 std::vector<std::vector<PortResponse>>
 executeSerially(CaRamSubsystem &sys, const std::vector<PortRequest> &stream)
 {
-    if (const char *env = std::getenv("CARAM_PREFILTER");
-        env && std::string_view(env) == "1") {
-        for (std::size_t p = 0; p < sys.databaseCount(); ++p)
-            sys.database(static_cast<unsigned>(p))
-                .setPrefilterEnabled(true);
-    }
     std::vector<std::vector<PortResponse>> per_port(sys.databaseCount());
     for (const PortRequest &req : stream)
         per_port[req.port].push_back(
