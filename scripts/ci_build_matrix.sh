@@ -14,23 +14,7 @@
 # leg 2 plus the default ctest run cover every dispatch combination
 # the host supports.
 #
-#   3. The SIMD build rerun with CARAM_ROW_FANOUT_MIN=1: every engine
-#      whose config leaves rowFanoutMin at 0 now fans out EVERY
-#      eligible ternary lookup through the shard path, so the whole
-#      suite doubles as a fan-out equivalence sweep.  Tests that need
-#      a serial baseline pin an explicit unreachable threshold, which
-#      always wins over the environment floor.
-#
-#   4. The SIMD build rerun with CARAM_RESULT_CACHE_ENTRIES=4096: every
-#      engine whose config leaves resultCacheEntries unset now fronts
-#      search dispatch with the hot-key result cache, so the whole
-#      suite doubles as a cache-coherence equivalence sweep (every
-#      differential and modeled-accounting expectation must hold with
-#      cached hits short-circuiting repeat lookups).  Tests that
-#      measure per-lookup slice work pin an explicit 0, which always
-#      wins over the environment knob.
-#
-#   5. An ASan+UBSan build in its own directory (-fsanitize=address,
+#   3. An ASan+UBSan build in its own directory (-fsanitize=address,
 #      undefined with -fno-sanitize-recover=undefined, plus
 #      -D_GLIBCXX_ASSERTIONS for libstdc++'s bounds checks, e.g. span
 #      and vector indexing): the full suite must run with no sanitizer
@@ -57,15 +41,7 @@ cmake --build "$SIMD_DIR" -j"$(nproc)"
 CARAM_MATCH_KERNEL=scalar ctest --test-dir "$SIMD_DIR" \
     --output-on-failure
 
-echo "=== leg 3: SIMD build, row fan-out forced on ==="
-CARAM_ROW_FANOUT_MIN=1 ctest --test-dir "$SIMD_DIR" \
-    --output-on-failure
-
-echo "=== leg 4: SIMD build, result cache forced on ==="
-CARAM_RESULT_CACHE_ENTRIES=4096 ctest --test-dir "$SIMD_DIR" \
-    --output-on-failure
-
-echo "=== leg 5: ASan+UBSan build + full ctest ==="
+echo "=== leg 3: ASan+UBSan build + full ctest ==="
 cmake -B "$ASAN_DIR" -S . -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined \
 -fno-sanitize-recover=undefined -fno-omit-frame-pointer -D_GLIBCXX_ASSERTIONS"
 cmake --build "$ASAN_DIR" -j"$(nproc)"

@@ -5,13 +5,8 @@
 # is the hand-off around the tables, not the tables themselves:
 #
 #  - bulk submit: producers pushing batches into the workers' ring
-#    queues, doorbells, per-batch publish and drain()
-#    (ConcurrentQueue.*, Engine.*);
-#  - row fan-out: shards stolen off the shared sub-task queue and the
-#    help-first CompletionLatch join (CompletionLatch.*, Engine.Fanout*,
-#    the fan-out legs of the differentials);
-#  - the result cache hammer: concurrent fill/probe/invalidate on the
-#    per-entry seqlocks (ResultCacheHammer.*, ResultCache*).
+#    queues, workers asleep in popBatch(), per-batch publish and
+#    drain() (ConcurrentQueue.*, Engine.*).
 #
 # The engine-vs-serial differential (ConcurrentMutationDifferential.*)
 # and the brute-force reference differential (ReferenceDifferential.*)
@@ -26,8 +21,7 @@ BUILD_DIR="${1:-build-tsan}"
 cmake -B "$BUILD_DIR" -S . -DCARAM_TSAN=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" \
     --target test_concurrent_queue test_engine \
-    concurrent_mutation_differential result_cache_differential \
-    reference_differential
+    concurrent_mutation_differential reference_differential
 TSAN_OPTIONS="halt_on_error=1" ctest --test-dir "$BUILD_DIR" \
-    -R 'ConcurrentQueue|CompletionLatch|Engine|ConcurrentMutation|ResultCache|ReferenceDifferential' \
+    -R 'ConcurrentQueue|Engine|ConcurrentMutation|ReferenceDifferential' \
     --output-on-failure

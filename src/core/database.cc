@@ -100,7 +100,6 @@ Database::insertDetailed(const Record &record, int priority)
                     slice_->removePlacement(r);
                 return out;
             }
-            noteOverflowMutation(record.key);
             out.tcamCopies = 1;
             // The overflow slice is probed in parallel with the main
             // access; only its own probe depth can exceed one access.
@@ -145,7 +144,6 @@ Database::insertDetailed(const Record &record, int priority)
                 slice_->removePlacement(r);
             return out;
         }
-        noteOverflowMutation(record.key);
     }
     out.ok = true;
     out.copies = static_cast<unsigned>(placed.size());
@@ -277,14 +275,12 @@ Database::rebuild()
 }
 
 void
-Database::mergeOverflow(const Key &search_key, SearchResult &result,
-                        uint64_t &overflow_fetches)
+Database::mergeOverflow(const Key &search_key, SearchResult &result)
 {
     if (overflowSlice_) {
         // Overflow slice searched in parallel: latency is the larger
         // of the two paths.
         SearchResult ov = overflowSlice_->search(search_key);
-        overflow_fetches += ov.bucketsAccessed;
         result.bucketsAccessed =
             std::max(result.bucketsAccessed, ov.bucketsAccessed);
         if (ov.hit) {
@@ -322,21 +318,12 @@ Database::mergeOverflow(const Key &search_key, SearchResult &result,
     }
 }
 
-uint64_t
-Database::mergeOverflowResult(const Key &search_key, SearchResult &result)
-{
-    uint64_t overflow_fetches = 0;
-    mergeOverflow(search_key, result, overflow_fetches);
-    return overflow_fetches;
-}
-
 SearchResult
 Database::search(const Key &search_key)
 {
     checkAccessible();
     SearchResult result = slice_->search(search_key);
-    uint64_t unused = 0;
-    mergeOverflow(search_key, result, unused);
+    mergeOverflow(search_key, result);
     return result;
 }
 
@@ -357,17 +344,7 @@ Database::erase(const Key &key)
         ++removed;
     if (overflowSlice_)
         removed += overflowSlice_->erase(key);
-    if (removed != main_removed)
-        noteOverflowMutation(key);
     return removed;
-}
-
-void
-Database::noteOverflowMutation(const Key &key)
-{
-    thread_local std::vector<uint64_t> scratch;
-    overflowDirtyRegions_.fetch_or(slice_->searchRegionMask(key, scratch),
-                                   std::memory_order_relaxed);
 }
 
 uint64_t

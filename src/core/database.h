@@ -187,19 +187,6 @@ class Database
     }
 
     /**
-     * Fold the parallel overflow area's verdict into a main-slice
-     * search result -- the public tail of search() for callers that
-     * produced @p result themselves via the shard-scoped fan-out path
-     * (CaRamSlice::searchRows + mergeShardResults).  Applying this to
-     * the merged shard result reproduces search() bit-identically,
-     * including the ParallelSlice max-of-both-paths bucketsAccessed.
-     * Returns the overflow-area row fetches (0 for ParallelTcam and
-     * Probing), which overlap the main-slice shards in modeled time.
-     */
-    uint64_t mergeOverflowResult(const Key &search_key,
-                                 SearchResult &result);
-
-    /**
      * Remove one logical record stored under @p key: one copy per
      * candidate home (CaRamSlice::erase), plus one overflow-area record
      * when some home held no copy.  A key inserted twice survives one
@@ -237,49 +224,8 @@ class Database
     }
 
     /** True when lookups consult a parallel overflow area (victim TCAM
-     *  or overflow slice).  Overflow writes are folded into the main
-     *  slice's row regions through noteOverflowMutation(), so row
-     *  granular cache coherence stays precise on such databases. */
+     *  or overflow slice). */
     bool hasOverflowArea() const { return overflow_ || overflowSlice_; }
-
-    /**
-     * Region coverage of a lookup (CaRamSlice::searchRegionMask over
-     * the main slice).  The same coverage is sound for the overflow
-     * area: an overflow write that can change this lookup's outcome
-     * involves a record this key matches, and a matching record shares
-     * at least one candidate home row with the key (its stored value
-     * agrees with the key's on every mutually cared index bit), so the
-     * noteOverflowMutation() mask recorded at the write intersects the
-     * mask stamped here.
-     */
-    uint64_t
-    searchRegionMask(const Key &key, std::vector<uint64_t> &scratch)
-    {
-        return slice_->searchRegionMask(key, scratch);
-    }
-
-    /** Drain the dirty-region accumulators: the main slice's row
-     *  writes plus every overflow-area write recorded through
-     *  noteOverflowMutation(). */
-    uint64_t
-    takeDirtyRegionMask()
-    {
-        uint64_t mask = slice_->takeDirtyRegionMask();
-        if (hasOverflowArea())
-            mask |=
-                overflowDirtyRegions_.exchange(0, std::memory_order_relaxed);
-        return mask;
-    }
-
-    /**
-     * Record that the overflow area gained, lost, or modified a copy
-     * of @p key: ORs the key's *main-slice* region coverage into the
-     * overflow dirty accumulator, so takeDirtyRegionMask() invalidates
-     * exactly the regions whose lookups the write could affect (see
-     * searchRegionMask()).  Every Database overflow write path calls
-     * it.
-     */
-    void noteOverflowMutation(const Key &key);
 
     /** Placement statistics of the CA-RAM part. */
     LoadStats loadStats() const { return slice_->loadStats(); }
@@ -330,11 +276,9 @@ class Database
     /** Throws when the database is not accessible. */
     void checkAccessible() const;
 
-    /** Fold the parallel overflow area's verdict into @p result (the
-     *  shared tail of search() and mergeOverflowResult()); adds any
-     *  overflow-slice row accesses to @p overflow_fetches. */
-    void mergeOverflow(const Key &search_key, SearchResult &result,
-                       uint64_t &overflow_fetches);
+    /** Fold the parallel overflow area's verdict into @p result, the
+     *  main slice's answer (the tail of search()). */
+    void mergeOverflow(const Key &search_key, SearchResult &result);
 
     DatabaseConfig cfg;
     std::unique_ptr<CaRamSlice> slice_;
@@ -343,11 +287,6 @@ class Database
     /** Atomic: an engine's worker reads it while the application flips
      *  retention (powerState()/checkAccessible() vs setPowerState()). */
     std::atomic<PowerState> powerState_{PowerState::Active};
-    /** Main-slice region bits dirtied by overflow-area writes since the
-     *  last takeDirtyRegionMask() (see noteOverflowMutation()).  Atomic
-     *  only for the exchange pairing with the drain; writes come from
-     *  the single mutation authority. */
-    std::atomic<uint64_t> overflowDirtyRegions_{0};
 };
 
 } // namespace caram::core

@@ -13,7 +13,8 @@ namespace caram::core {
 namespace {
 
 /** splitmix64 finalizer -- hashes row indices for the ingest row cache
- *  (consecutive rows must not cluster in the open-addressed table). */
+ *  (consecutive rows must not cluster in the open-addressed table) and
+ *  for the SecondHash probe stride. */
 inline uint64_t
 mixRow(uint64_t x)
 {
@@ -28,9 +29,8 @@ mixRow(uint64_t x)
 CaRamSlice::ScratchUse::ScratchUse(const CaRamSlice &s) : slice_(s)
 {
     if (slice_.scratchGuard_.fetch_add(1, std::memory_order_acq_rel) != 0)
-        panic("concurrent use of per-slice scratch: shard workers must "
-              "use packSearchKey/candidateHomes/searchRows with "
-              "shard-local scratch, never search/erase");
+        panic("concurrent use of per-slice scratch: a slice serves one "
+              "thread at a time (the engine's port owner)");
 }
 
 CaRamSlice::ScratchUse::~ScratchUse()
@@ -54,12 +54,6 @@ CaRamSlice::CaRamSlice(const SliceConfig &config,
                         (unsigned long long)idxGen->rowCount(),
                         (unsigned long long)cfg.rows()));
     homeDemandPerBucket.assign(cfg.rows(), 0);
-    // Region shift: the highest row index must map below kCacheRegions.
-    // Computed from bit_width so non-power-of-two row counts
-    // (SliceConfig::rowOverride) land in range too.
-    const unsigned top_bits =
-        static_cast<unsigned>(std::bit_width(cfg.rows() - 1));
-    cacheRegionShift_ = top_bits > 6 ? top_bits - 6 : 0;
 }
 
 uint64_t
@@ -111,48 +105,7 @@ CaRamSlice::prefetchHome(const Key &key) const
 }
 
 uint64_t
-CaRamSlice::searchRegionMask(const Key &search_key,
-                             std::vector<uint64_t> &scratch)
-{
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
-    // The full candidate home set: an insert into any of them writes
-    // its home row (slot or reach/aux word).
-    scratch.clear();
-    if (search_key.fullySpecified()) {
-        scratch.push_back(
-            idxGen->index(search_key.valueWords(), search_key.bits()));
-    } else {
-        idxGen->candidateIndices(search_key.valueWords(),
-                                 search_key.careWords(),
-                                 search_key.bits(), scratch);
-    }
-    // Cost bound: a lookup wide enough to enumerate more rows than
-    // this is stamped with full coverage instead (strictly more
-    // conservative, never wrong).
-    constexpr std::size_t kMaxCoveredRows = 128;
-    if (scratch.size() > kMaxCoveredRows)
-        return ~uint64_t{0};
-    uint64_t mask = 0;
-    std::size_t covered = scratch.size();
-    for (const uint64_t home : scratch) {
-        // The home row itself is always covered: a reach extension
-        // beyond today's chain writes the home's aux word, so a future
-        // record this lookup could match always dirties a covered
-        // region even when it lands outside the current chain.
-        mask |= cacheRegionBit(home);
-        const unsigned reach = bucket(home).reach();
-        covered += reach;
-        if (covered > kMaxCoveredRows)
-            return ~uint64_t{0};
-        for (unsigned d = 1; d <= reach; ++d)
-            mask |= cacheRegionBit(probeRow(home, d, search_key));
-    }
-    return mask;
-}
-
-uint64_t
-CaRamSlice::probeRow(uint64_t home, unsigned d, const Key &key) const
+CaRamSlice::probeRow(uint64_t home, unsigned d) const
 {
     if (d == 0)
         return home;
@@ -163,14 +116,13 @@ CaRamSlice::probeRow(uint64_t home, unsigned d, const Key &key) const
       case ProbePolicy::Linear:
         return (home + d) % rows;
       case ProbePolicy::SecondHash: {
-        // A fixed odd stride derived from a second (xor-fold) hash of
-        // the key; odd strides cycle through the power-of-two row space
+        // A fixed odd stride derived from a second hash of the home
+        // row; odd strides cycle through the power-of-two row space
         // (validate() rejects SecondHash on non-power-of-two rows).
-        uint64_t h = 0;
-        for (uint64_t w : key.valueWords())
-            h ^= w;
-        h ^= h >> cfg.indexBits;
-        const uint64_t step = (h & (rows - 1)) | 1;
+        // Hashing the key instead would give a ternary search key and
+        // the stored prefix it matches different strides: their value
+        // words differ in bits the prefix does not care about.
+        const uint64_t step = (mixRow(home) & (rows - 1)) | 1;
         return (home + d * step) & (rows - 1);
       }
     }
@@ -185,7 +137,7 @@ CaRamSlice::insertAt(uint64_t home_row, const Record &record)
     const unsigned max_d =
         cfg.probe == ProbePolicy::None ? 0 : cfg.maxProbeDistance;
     for (unsigned d = 0; d <= max_d; ++d) {
-        const uint64_t row = probeRow(home_row, d, record.key);
+        const uint64_t row = probeRow(home_row, d);
         BucketView b = bucket(row);
         // Fast path: with insert-only workloads slots fill in order, so
         // the aux used count points at the first free slot.
@@ -197,11 +149,9 @@ CaRamSlice::insertAt(uint64_t home_row, const Record &record)
             slot = b.firstFreeSlot();
         if (slot < 0)
             continue;
-        noteRowDirty(row);
         b.writeSlot(static_cast<unsigned>(slot), record.key, record.data);
         b.setUsedCount(b.usedCount() + 1);
         BucketView home = bucket(home_row);
-        noteRowDirty(home_row);
         home.setReach(std::max(home.reach(), d));
         ++homeDemandPerBucket[home_row];
         distanceHist.add(d);
@@ -225,7 +175,6 @@ CaRamSlice::removePlacement(const InsertResult &placement)
     BucketView b = bucket(placement.placedRow);
     if (!b.slotValid(placement.slot))
         panic("placement slot is no longer valid");
-    noteRowDirty(placement.placedRow);
     b.clearSlot(placement.slot);
     b.setUsedCount(b.usedCount() - 1);
     --homeDemandPerBucket[placement.homeRow];
@@ -396,7 +345,7 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
             bool placed = false;
             uint32_t home_entry = 0;
             for (unsigned d = 0; d <= max_d; ++d) {
-                const uint64_t prow = probeRow(home, d, rec.key);
+                const uint64_t prow = probeRow(home, d);
                 const uint32_t e = touch(prow);
                 if (d == 0)
                     home_entry = e;
@@ -468,7 +417,6 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
         const auto &pl = ig.placements[pidx];
         const Record &rec = records[pl.rec];
         BucketView b = bucket(row);
-        noteRowDirty(row);
         b.writeSlot(pl.slot, rec.key, rec.data);
         if (pl.dead) {
             b.clearSlot(pl.slot);
@@ -493,7 +441,6 @@ CaRamSlice::insertBatchChunk(const Record *records, unsigned n,
                                  ig.reach[e] != ig.reachAtFetch[e];
         if (aux_changed) {
             BucketView b = bucket(ig.row[e]);
-            noteRowDirty(ig.row[e]);
             b.setUsedCount(ig.used[e]);
             b.setReach(ig.reach[e]);
         }
@@ -532,7 +479,7 @@ CaRamSlice::searchChain(uint64_t home,
     // The home row's aux word says how far the chain reaches.
     const unsigned reach = bucket(home).reach();
     for (unsigned d = 0; d <= reach; ++d) {
-        const uint64_t row = probeRow(home, d, packed.key);
+        const uint64_t row = probeRow(home, d);
         ++best.bucketsAccessed;
         if (trace)
             trace->push_back(row);
@@ -600,95 +547,16 @@ CaRamSlice::searchTraced(const Key &search_key,
     return best;
 }
 
-void
-CaRamSlice::packSearchKey(const Key &search_key,
-                          MatchProcessor::PackedKey &out) const
-{
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
-    matcher.pack(search_key, out);
-}
-
-void
-CaRamSlice::candidateHomes(const Key &search_key,
-                           std::vector<uint64_t> &out) const
-{
-    if (search_key.bits() != cfg.logicalKeyBits)
-        fatal("key width does not match the slice configuration");
-    out.clear();
-    // Same fast path and ordering as homeRowsInto().
-    if (search_key.fullySpecified())
-        out.push_back(idxGen->index(search_key.valueWords(),
-                                    search_key.bits()));
-    else
-        idxGen->candidateIndices(search_key.valueWords(),
-                                 search_key.careWords(),
-                                 search_key.bits(), out);
-}
-
-SearchResult
-CaRamSlice::searchRows(const MatchProcessor::PackedKey &packed,
-                       const uint64_t *homes, unsigned n)
-{
-    SearchResult best;
-    for (unsigned i = 0; i < n; ++i) {
-        if (searchChain(homes[i], packed, best, nullptr))
-            break; // non-LPM first hit within this shard
-    }
-    return best;
-}
-
-SearchResult
-CaRamSlice::mergeShardResults(const SearchResult *shards, unsigned n,
-                              bool lpm)
-{
-    SearchResult merged;
-    unsigned accesses = 0;
-    for (unsigned i = 0; i < n; ++i) {
-        const SearchResult &s = shards[i];
-        accesses += s.bucketsAccessed;
-        if (!lpm) {
-            // Serial early exit: the first hitting shard is where the
-            // serial chain would have stopped -- its bucketsAccessed
-            // already ends at the hit row, and later shards' walks are
-            // speculative work the serial cost never pays.
-            if (s.hit) {
-                merged = s;
-                merged.bucketsAccessed = accesses;
-                return merged;
-            }
-            continue;
-        }
-        // LPM walks everything; first-max-wins across shards in home
-        // order, matching searchChain()'s strictly-greater rule.
-        if (s.hit && (!merged.hit ||
-                      s.key.carePopcount() > merged.key.carePopcount())) {
-            merged = s;
-        }
-    }
-    merged.bucketsAccessed = accesses;
-    return merged;
-}
-
-void
-CaRamSlice::noteFanoutSearch(unsigned buckets_accessed)
-{
-    ++searchCount;
-    accessCount += buckets_accessed;
-}
-
 bool
 CaRamSlice::eraseAt(uint64_t home, const MatchProcessor::PackedKey &packed)
 {
-    const Key &key = packed.key;
     const unsigned reach = bucket(home).reach();
     for (unsigned d = 0; d <= reach; ++d) {
-        const uint64_t row = probeRow(home, d, key);
+        const uint64_t row = probeRow(home, d);
         BucketView b = bucket(row);
         const int slot = matcher.findEqualPacked(b, packed);
         if (slot < 0)
             continue;
-        noteRowDirty(row);
         b.clearSlot(static_cast<unsigned>(slot));
         b.setUsedCount(b.usedCount() - 1);
         --homeDemandPerBucket[home];
@@ -783,8 +651,6 @@ CaRamSlice::fillHole(uint64_t row, unsigned slot)
         uint64_t other[Key::kWords];
         const unsigned words = slotValue(r, from, value);
         BucketView hole = bucket(row);
-        noteRowDirty(row);
-        noteRowDirty(r);
         // A later copy of the same key in the hole row must stay behind
         // the moved record: slide the nearest one into the hole first
         // (same row, same distance), so the key's copies keep their
@@ -839,7 +705,6 @@ CaRamSlice::trimReach(uint64_t home)
     }
     if (reach == cur)
         return;
-    noteRowDirty(home);
     home_bucket.setReach(reach);
 }
 
@@ -886,7 +751,6 @@ CaRamSlice::updateMatching(const Key &pattern, uint64_t new_data)
         for (unsigned i = 0; i < b.slots(); ++i) {
             if (!matcher.slotMatchesPacked(b, i, packedKey_))
                 continue;
-            noteRowDirty(row);
             b.writeSlot(i, b.slotKey(i), new_data);
             ++updated;
         }
@@ -903,14 +767,12 @@ CaRamSlice::ramLoad(uint64_t word_addr) const
 void
 CaRamSlice::ramStore(uint64_t word_addr, uint64_t value)
 {
-    noteRowDirty(word_addr / array_.wordsPerRow());
     array_.storeWord(word_addr, value);
 }
 
 void
 CaRamSlice::adoptRamContents()
 {
-    noteAllRowsDirty();
     homeDemandPerBucket.assign(cfg.rows(), 0);
     distanceHist = Histogram();
     recordCount = 0;
@@ -1003,7 +865,6 @@ CaRamSlice::occupancyHistogram() const
 void
 CaRamSlice::clear()
 {
-    noteAllRowsDirty();
     array_.clearAll();
     homeDemandPerBucket.assign(cfg.rows(), 0);
     distanceHist = Histogram();

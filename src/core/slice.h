@@ -169,72 +169,6 @@ class CaRamSlice
     SearchResult searchTraced(const Key &search_key,
                               std::vector<uint64_t> &rows_accessed);
 
-    /// @name Shard-scoped search (intra-lookup row fan-out)
-    /// @{
-    /**
-     * Pack @p search_key into @p out, the match processor's step-1
-     * template, using *caller-owned* scratch instead of the per-slice
-     * packedKey_.  Shard workers pack once per lookup and then hand the
-     * same (read-only) packed key to every shard.
-     */
-    void packSearchKey(const Key &search_key,
-                       MatchProcessor::PackedKey &out) const;
-
-    /**
-     * Candidate home buckets of @p search_key into @p out -- the
-     * caller-scratch variant of homeRows().  @p out is cleared and
-     * refilled; it retains capacity across calls, so a pre-sized vector
-     * makes this allocation-free.  Order matches homeRowsInto(), which
-     * is the order the serial search visits homes in.
-     */
-    void candidateHomes(const Key &search_key,
-                        std::vector<uint64_t> &out) const;
-
-    /**
-     * Search a subset of candidate home chains -- the shard entry point
-     * of the intra-lookup row fan-out.  Walks @p homes[0..n) through
-     * the same chain logic search() uses (probing, overflow reach, LPM
-     * best-so-far, first-hit early exit in exact mode) but touches *no*
-     * per-slice scratch and *no* search counters: the packed key and
-     * the result are caller-owned, so concurrent searchRows() calls on
-     * one slice are safe against each other (they only read the memory
-     * array) as long as no mutation and no scratch-using entry point
-     * (search/erase/insertBatch/...) runs concurrently.
-     *
-     * The returned bucketsAccessed counts only the rows this shard
-     * walked.  Recombine shards with mergeShardResults() and account
-     * the merged lookup with noteFanoutSearch() to stay bit-identical
-     * to a serial search() over the full home set.
-     */
-    SearchResult searchRows(const MatchProcessor::PackedKey &packed,
-                            const uint64_t *homes, unsigned n);
-
-    /**
-     * Merge per-shard bests back into what a serial search() over the
-     * concatenated home ranges would have returned.  Shards must be
-     * ordered: shard i covers homes strictly before shard i+1's in
-     * candidateHomes() order.
-     *
-     * Exact (non-LPM) mode replays the serial early exit: sum the
-     * accesses of leading no-hit shards, then stop at the first hitting
-     * shard and take its match (later shards' speculative work is
-     * discarded).  LPM mode sums every shard's accesses and keeps the
-     * first shard-best with the strictly longest care popcount -- the
-     * same first-max-wins rule searchChain() applies per bucket.
-     */
-    static SearchResult mergeShardResults(const SearchResult *shards,
-                                          unsigned n, bool lpm);
-
-    /**
-     * Account one fan-out lookup: advances searchesPerformed() by one
-     * and searchAccesses() by @p buckets_accessed, exactly as a serial
-     * search() reporting that many accesses would.  Call from the
-     * coordinating thread after the merge -- the counters share the
-     * single-owner rule of the per-slice scratch.
-     */
-    void noteFanoutSearch(unsigned buckets_accessed);
-    /// @}
-
     /**
      * Prefetch hint for an operation on @p key that is about to run:
      * the first min(row bytes, 512) bytes of its home row, where the
@@ -345,53 +279,11 @@ class CaRamSlice
 
     const mem::MemoryArray &array() const { return array_; }
 
-    /// @name Cache-region tracking (row-granular result-cache coherence)
-    /// @{
-    /** Rows are mapped onto at most this many power-of-two regions;
-     *  one bit of a 64-bit region mask per region (matches
-     *  engine::ResultCache::kRegions). */
-    static constexpr unsigned kCacheRegions = 64;
-
-    /** Region-mask bit covering @p row. */
-    uint64_t
-    cacheRegionBit(uint64_t row) const
-    {
-        return uint64_t{1} << ((row >> cacheRegionShift_) & 63);
-    }
-
-    /**
-     * Region coverage of a lookup for @p search_key: the union of
-     * cacheRegionBit() over every candidate home row (the full
-     * duplication set) and every row its probe chain can currently
-     * touch (distances 0..reach).  A lookup whose enumeration would
-     * exceed an internal cost bound returns ~0 (all regions).  Any
-     * mutation that could change this lookup's result dirties at least
-     * one covered region: a plain slot write dirties the chain row
-     * itself, and a reach extension beyond the current chain writes the
-     * home row's aux word, whose region is always covered.  Uses the
-     * same single-owner discipline as search(); @p scratch is
-     * caller-owned home scratch, cleared and refilled.
-     */
-    uint64_t searchRegionMask(const Key &search_key,
-                              std::vector<uint64_t> &scratch);
-
-    /**
-     * Drain the accumulated dirty-region mask: every row store that
-     * can change a lookup's outcome since the previous call OR-ed its
-     * row's region bit in (whole-array rewrites set all bits).  The
-     * engine calls this after executing a mutation and bumps exactly
-     * those regions in the result cache.
-     */
-    uint64_t
-    takeDirtyRegionMask()
-    {
-        return dirtyRegions_.exchange(0, std::memory_order_relaxed);
-    }
-    /// @}
-
   private:
-    /** Row probed at distance @p d from @p home for @p key. */
-    uint64_t probeRow(uint64_t home, unsigned d, const Key &key) const;
+    /** Row probed at distance @p d from @p home.  The chain depends
+     *  on the home row alone, so a ternary search key and the stored
+     *  records it matches walk the same rows. */
+    uint64_t probeRow(uint64_t home, unsigned d) const;
 
     /**
      * Home buckets of @p key into the per-slice scratch buffer -- the
@@ -443,23 +335,6 @@ class CaRamSlice
     /** Home bucket of the binary record in (@p row, @p slot). */
     uint64_t slotHome(uint64_t row, unsigned slot) const;
 
-    /** Record @p row as dirtied for cache-region accounting; called
-     *  before every store that can change a lookup's outcome. */
-    void
-    noteRowDirty(uint64_t row)
-    {
-        dirtyRegions_.fetch_or(cacheRegionBit(row),
-                               std::memory_order_relaxed);
-    }
-
-    /** Whole-array rewrite (clear()/adoptRamContents()): every cache
-     *  region is dirty. */
-    void
-    noteAllRowsDirty()
-    {
-        dirtyRegions_.store(~uint64_t{0}, std::memory_order_relaxed);
-    }
-
     SliceConfig cfg;
     std::unique_ptr<hash::IndexGenerator> idxGen;
     mem::MemoryArray array_;
@@ -471,14 +346,12 @@ class CaRamSlice
     // (homeRowsInto()'s backing store).  A slice therefore must not
     // serve concurrent scratch-using calls -- the same ownership rule
     // the search counters below already impose (the parallel engine
-    // gives each database to exactly one worker).  Intra-lookup shard
-    // workers must NOT route through these: they use packSearchKey()/
-    // candidateHomes()/searchRows() with shard-local scratch instead.
-    // scratchGuard_ enforces the rule in every build (two uncontended
-    // atomic ops per operation -- noise next to a row walk): each
-    // scratch-using entry point panics if it observes another one in
-    // flight, so aliasing bugs surface deterministically in tests
-    // instead of relying on TSan luck.
+    // gives each database to exactly one worker, and no other thread
+    // reads it).  scratchGuard_ enforces the rule in every build (two
+    // uncontended atomic ops per operation -- noise next to a row
+    // walk): each scratch-using entry point panics if it observes
+    // another one in flight, so aliasing bugs surface
+    // deterministically in tests instead of relying on TSan luck.
     MatchProcessor::PackedKey packedKey_;
     std::vector<uint64_t> homesScratch;
     mutable std::atomic<int> scratchGuard_{0};
@@ -543,14 +416,6 @@ class CaRamSlice
     // Search accounting.
     uint64_t searchCount = 0;
     uint64_t accessCount = 0;
-
-    // Cache-region accounting: rows map onto <= kCacheRegions
-    // power-of-two runs (shift chosen so the top region index fits in
-    // 6 bits for any row count, power of two or not); mutations OR
-    // their rows' region bits into the dirty accumulator, drained by
-    // takeDirtyRegionMask().
-    unsigned cacheRegionShift_ = 0;
-    std::atomic<uint64_t> dirtyRegions_{0};
 };
 
 } // namespace caram::core

@@ -31,19 +31,6 @@
  * identical result streams and modeled accounting, used by tier-1
  * tests.
  *
- * EngineConfig::resultCacheEntries fronts search dispatch with a
- * lock-free hot-key result cache (result_cache.h): a repeat of a
- * recently answered key replays the cached response -- bit-identical
- * fields, zero modeled bucket accesses.  Invalidation is row-granular:
- * a fill is stamped with the lookup's candidate home-row region
- * coverage, and a mutation bumps only the region counters of the rows
- * it dirtied -- overflow-area writes fold into the spilling key's main
- * regions (Database::noteOverflowMutation); only rebuilds still bump
- * the whole port -- so hot keys survive churn on cold rows while
- * result streams stay
- * bit-identical to the uncached engine on every stream, including
- * mixed mutation streams.
- *
  * One thread owns each table: the port's worker executes every request
  * of that port -- searches, inserts, erases and rebuilds -- in
  * submission order, so independent ports proceed in
@@ -58,15 +45,10 @@
  * one behind another.  The hint changes no state: responses,
  * bucketsAccessed and modeled cycles are those of unhinted execution.
  *
- * EngineConfig::rowFanoutMin additionally enables *intra-lookup*
- * parallelism: a lookup whose ternary key duplicates across many home
- * rows is split into home-range shards that idle workers steal from a
- * shared sub-task queue (CaRamSlice::searchRows + shard-local scratch),
- * merged back bit-identically to the serial chain.  The one-port-one-
- * worker ownership rule is preserved: only the port's owning worker
- * touches the database's scratch, counters and overflow area, and it
- * does not move to its next request until every shard completed, so
- * mutations still never overlap a fanned-out lookup.
+ * Every request runs one way: its port's worker pops it, executes it
+ * with core::executePortRequest, charges the modeled cycles and
+ * publishes the response.  A worker has one source of work, its own
+ * queue, so it sleeps in that queue's popBatch() between batches.
  */
 
 #include <atomic>
@@ -82,7 +64,6 @@
 
 #include "common/stats.h"
 #include "core/subsystem.h"
-#include "engine/result_cache.h"
 #include "mem/timing.h"
 #include "sim/concurrent_queue.h"
 
@@ -99,65 +80,9 @@ struct EngineConfig
     mem::MemTiming timing = mem::MemTiming::embeddedDram();
     /** Max requests a worker pops per lock acquisition. */
     std::size_t drainBatch = 64;
-    /**
-     * Insert batch width: a worker executes up to this many
-     * *consecutive same-port Insert* requests from its popped batch as
-     * one Database::insertBatch call (row-ordered bulk ingest).  The
-     * stored table, the response stream and the modeled cycles stay
-     * bit-identical to serial execution, and the row-op economy is
-     * reported in the engine report's ingest summary.  Any other
-     * request or a port change ends the run.  1 disables batching
-     * (serial execution, the default); ignored in inline mode
-     * (workers == 0), which executes at submit time.  Searches always
-     * run one by one behind the prefetch pipeline.
-     */
-    std::size_t batchSize = 1;
 
-    /**
-     * Intra-lookup row fan-out: a Search key whose candidate home set
-     * (ternary don't-cares in hash positions duplicate a key across
-     * many home rows, paper section 4.2) has at least this many homes
-     * is split into up to rowFanoutMaxShards contiguous home-range
-     * shards.  The coordinating worker runs one shard itself, posts
-     * the rest to a shared sub-task queue idle workers steal from, and
-     * merges the shard bests by the serial priority rule -- results
-     * stay bit-identical to the serial chain (hit/miss, matched
-     * record, LPM winner, bucketsAccessed).  Modeled cycles charge the
-     * *slowest shard* instead of the serial chain sum: the shards
-     * overlap in modeled time like the paper's multi-bank fetch.
-     *
-     * 0 disables fan-out unless the CARAM_ROW_FANOUT_MIN environment
-     * variable supplies a floor (re-read at each engine's construction
-     * -- see resolvedRowFanoutMin(); an explicit nonzero config always
-     * wins over the environment, so tests that pin a threshold behave
-     * identically under the forced-fan-out CI leg).
-     */
-    unsigned rowFanoutMin = 0;
-    /** Most shards one lookup fans out into (clamped to [1, 32]). */
-    unsigned rowFanoutMaxShards = 8;
-
-    /**
-     * Hot-key result cache: total entry budget of the front-side
-     * ResultCache (see result_cache.h).  A Search whose exact key
-     * (value, care, width) was answered since the last mutation that
-     * touched any of its candidate home-row regions replays the cached
-     * response -- bit-identical fields, zero modeled bucket accesses.
-     * Invalidation is row-granular: fills are stamped with the
-     * lookup's candidate home-row coverage and an Insert/Erase bumps
-     * only the region counters of the rows it actually dirtied --
-     * overflow-area writes fold into the spilling key's main-slice
-     * regions via Database::noteOverflowMutation (Rebuild still bumps
-     * the whole port), so hot keys survive churn on cold rows.
-     * nullopt (the default) defers to the
-     * CARAM_RESULT_CACHE_ENTRIES environment variable, re-read at each
-     * engine's construction like CARAM_ROW_FANOUT_MIN (see
-     * resolvedResultCacheEntries()); an explicit value always wins, so
-     * 0 pins the cache off even under the forced-cache CI leg.
-     */
-    std::optional<std::size_t> resultCacheEntries{};
-    /** Cache set associativity (clamped to [1, ResultCache::kMaxWays]). */
-    unsigned resultCacheWays = 4;
-
+    /** Ignored; kept for the benchmark until ROADMAP item 9. */
+    std::size_t resultCacheEntries = 0;
 };
 
 /**
@@ -190,12 +115,6 @@ struct PortStats
     Histogram bucketsAccessed;
     /** Modeled busy cycles this port's requests cost its worker. */
     std::atomic<uint64_t> modeledCycles{0};
-    /** Searches served from the result cache (zero modeled cycles). */
-    std::atomic<uint64_t> cacheHits{0};
-    /** Searches that probed the result cache and fell through. */
-    std::atomic<uint64_t> cacheMisses{0};
-    /** Generation bumps (one per mutation run on this port). */
-    std::atomic<uint64_t> cacheInvalidations{0};
 };
 
 /** Aggregate numbers for one engine run (between start and drain). */
@@ -219,35 +138,18 @@ struct EngineReport
     /** Host wall-clock throughput (start() .. drain()), Msps. */
     double wallMsps = 0.0;
     double wallSeconds = 0.0;
-    /** Insert runs executed through Database::insertBatch. */
-    uint64_t batchedInsertRuns = 0;
-    /** Merged row-op accounting of every batched insert run. */
-    core::InsertBatchSummary ingest;
     /** Always zero; kept for the benchmark until ROADMAP item 9. */
     core::InsertBatchSummary writerIngest;
     /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t writerSerialRowFetches = 0;
     /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t rowsCombined = 0;
-    /** Lookups routed through the intra-lookup row fan-out. */
-    uint64_t fanoutLookups = 0;
-    /** Shards those lookups split into (incl. the coordinator's). */
-    uint64_t fanoutShards = 0;
-    /** Fan-out-eligible lookups that collapsed to a single shard. */
-    uint64_t fanoutSerialFallbacks = 0;
-    /** Searches served from the hot-key result cache. */
+    /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t cacheHits = 0;
-    /** Searches that probed the cache and ran the slice search. */
+    /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t cacheMisses = 0;
-    /** Per-port generation bumps charged by mutation runs. */
+    /** Always zero; kept for the benchmark until ROADMAP item 9. */
     uint64_t cacheInvalidations = 0;
-    /** Cache invalidations that had to bump a whole port's generation
-     *  (rebuilds and full-coverage masks).  Zero under row-local churn
-     *  -- including on overflow-area tables, whose writes fold into
-     *  the spilling key's main regions. */
-    uint64_t cacheWholePortInvalidations = 0;
-    /** Cache invalidations served by the precise region path. */
-    uint64_t cacheRegionInvalidations = 0;
 };
 
 /** Shards a CaRamSubsystem's ports across worker threads. */
@@ -288,20 +190,19 @@ class ParallelSearchEngine
      * order.  The batch crosses to the workers once, not once per
      * request: its requests are grouped by owning worker and each
      * group lands in that worker's queue under one lock acquisition
-     * with one doorbell ring (more only when the queue fills), and
-     * `inflight` and each port's `submitted` count are raised once per
-     * batch, before the push.  Returns the number accepted -- all of
-     * them unless the engine stops mid-batch, in which case the
-     * requests that did not land are rolled back.  Any number of
-     * threads may submit concurrently; inline engines (workers == 0)
-     * execute and publish each request before the call returns.
+     * (more only when the queue fills), and `inflight` and each port's
+     * `submitted` count are raised once per batch, before the push.
+     * Returns the number accepted -- all of them unless the engine
+     * stops mid-batch, in which case the requests that did not land
+     * are rolled back.  Any number of threads may submit concurrently;
+     * inline engines (workers == 0) execute and publish each request
+     * before the call returns.
      */
     std::size_t submitBatch(std::span<const core::PortRequest> requests);
 
     /** Submit a database repack (Database::rebuild()); the response
-     *  carries ok/hit/record-count as executePortRequest defines.  Like
-     *  any non-Search request it flushes the owning worker's batch
-     *  runs, so it never reorders against surrounding traffic. */
+     *  carries ok/hit/record-count as executePortRequest defines.  It
+     *  runs in its port's submission order, like every request. */
     bool submitRebuild(unsigned port, uint64_t tag);
 
     /**
@@ -327,17 +228,8 @@ class ParallelSearchEngine
 
     const PortStats &portStats(unsigned port) const;
 
-    /** The fan-out threshold this engine resolved at construction
-     *  (config value, or CARAM_ROW_FANOUT_MIN read at that moment). */
-    unsigned resolvedRowFanoutMin() const { return rowFanoutMin_; }
-
-    /** The result-cache entry budget this engine resolved at
-     *  construction (config value, or CARAM_RESULT_CACHE_ENTRIES read
-     *  at that moment; 0 = cache off). */
-    std::size_t resolvedResultCacheEntries() const
-    {
-        return resultCache_ ? resultCache_->entryCount() : 0;
-    }
+    /** Always 0; kept for the benchmark until ROADMAP item 9. */
+    std::size_t resolvedResultCacheEntries() const { return 0; }
 
     /** Always false; kept for the benchmark until ROADMAP item 9. */
     bool resolvedPrefilter() const { return false; }
@@ -351,16 +243,13 @@ class ParallelSearchEngine
     /** Aggregate throughput/latency accounting for the run so far. */
     EngineReport report() const;
 
-    /** Upper bound on rowFanoutMaxShards (scratch sizing). */
-    static constexpr unsigned kMaxFanoutShards = 32;
-
   private:
     struct PortState;
     struct Worker;
-
     struct Job;
-    struct FanoutTask;
 
+    /** Pop batches off the worker's own queue until it is closed and
+     *  empty; the worker sleeps inside popBatch() while it is empty. */
     void workerMain(unsigned index);
     /** Recompute each port's cached analytic search-bandwidth bound.
      *  Only callable while no worker can be mutating the databases
@@ -369,49 +258,13 @@ class ParallelSearchEngine
      *  histograms.  O(ports): no row walk. */
     void refreshAnalyticBounds();
     /** Run one popped batch: hint each job's home row a few jobs
-     *  ahead, group insert runs, execute, then publish. */
+     *  ahead, execute, then publish. */
     void processJobs(const std::vector<Job> &batch, unsigned index);
+    /** Execute one request and charge its modeled cycles -- the
+     *  engine's one modeled charge site. */
     void execute(const core::PortRequest &request,
                  std::chrono::steady_clock::time_point enqueued,
                  unsigned worker_index);
-    /**
-     * True when @p key should fan out; fills the worker's fanoutHomes
-     * scratch (which executeFanoutSearch then consumes) as a side
-     * effect.
-     */
-    bool fanoutEligible(core::Database &db, const Key &key,
-                        Worker &self);
-    /** Shard, steal, merge and publish one fan-out lookup.  Expects
-     *  the worker's fanoutHomes scratch filled by fanoutEligible(). */
-    void executeFanoutSearch(core::Database &db,
-                             const core::PortRequest &request,
-                             std::chrono::steady_clock::time_point
-                                 enqueued,
-                             unsigned worker_index);
-    /** Match one shard and arrive at its lookup's latch. */
-    void runFanoutTask(const FanoutTask &task);
-    /** Wake one parked worker / all parked workers (doorbell). */
-    void ring(unsigned worker_index);
-    void ringAll();
-    /** Execute @p count same-port Insert jobs as one bulk ingest. */
-    void executeInsertRun(const Job *jobs, std::size_t count,
-                          unsigned worker_index);
-    /** Probe the result cache for a Search on an Active database;
-     *  counts the hit/miss and fills @p out on a hit. */
-    bool probeCache(const core::PortRequest &request,
-                    core::SearchResult &out);
-    /** Finish a cached search result: bit-identical response fields,
-     *  zero modeled cycles (the paper's row activations never happen). */
-    void finishCached(Worker &self, const core::PortRequest &request,
-                      const core::SearchResult &cached,
-                      std::chrono::steady_clock::time_point enqueued);
-    /** Invalidate @p port's cached entries after a mutation run
-     *  executed: region-granular when the mutation's dirty-row mask
-     *  allows it, whole-port otherwise (@p wholePort, used by Rebuild
-     *  and bulk loads).  The owning worker executes the port's requests
-     *  one after another, so bumping after the mutation is safe: no
-     *  probe of this port can run in between. */
-    void invalidateCache(unsigned port, bool wholePort);
     /** Buffer one finished response on the executing thread until its
      *  next publish(). */
     void finish(Worker &self, core::PortResponse resp,
@@ -431,12 +284,6 @@ class ParallelSearchEngine
     core::CaRamSubsystem *sys;
     EngineConfig cfg;
     unsigned workerCount;  ///< sharding groups (>= 1 even when inline)
-    /** Resolved fan-out threshold (config, or CARAM_ROW_FANOUT_MIN). */
-    unsigned rowFanoutMin_ = 0;
-    /** Hot-key result cache (null = off; see resultCacheEntries). */
-    std::unique_ptr<ResultCache> resultCache_;
-    /** Shared shard sub-task queue the workers steal from. */
-    std::unique_ptr<sim::ConcurrentBoundedQueue<FanoutTask>> fanoutTasks;
     std::vector<std::unique_ptr<PortState>> ports;
     /** One per worker thread (one in inline mode). */
     std::vector<std::unique_ptr<Worker>> workers;

@@ -12,7 +12,10 @@
  * Storage is a fixed ring of `capacity` slots allocated once at
  * construction, so steady-state pushes and pops never touch the heap.
  * pushBatch() lands a whole batch under one lock acquisition, writing
- * each item straight into its slot.
+ * each item straight into its slot, and popBatch() takes up to a whole
+ * batch under one.  Every push notifies the queue's own condition
+ * variable, so a consumer asleep in pop()/popBatch() needs no other
+ * wake-up.
  */
 
 #include <algorithm>
@@ -84,17 +87,15 @@ class ConcurrentBoundedQueue
      * Push @p n items in order, blocking while the queue is full.
      * @p fill(T &slot) writes the next item straight into its ring slot
      * and is called exactly once per item pushed, under the queue lock.
-     * The items land in segments -- as many as fit -- and @p landed()
-     * runs without the lock after every segment: before the producer
-     * blocks on a full queue, and after the last one.  A consumer that
-     * parks on an external doorbell instead of this queue's own
-     * condition variable (the engine's workers) must be rung there,
-     * or a full queue would deadlock against it.  Returns the number
-     * pushed: @p n, or fewer when the queue is closed mid-batch.
+     * The items land in segments -- as many as fit -- and each segment
+     * wakes the consumers before the producer blocks on a full queue,
+     * so a full queue cannot deadlock against a sleeping consumer.
+     * Returns the number pushed: @p n, or fewer when the queue is
+     * closed mid-batch.
      */
-    template <typename Fill, typename Landed>
+    template <typename Fill>
     std::size_t
-    pushBatch(std::size_t n, Fill &&fill, Landed &&landed)
+    pushBatch(std::size_t n, Fill &&fill)
     {
         std::size_t pushed = 0;
         while (pushed < n) {
@@ -110,24 +111,8 @@ class ConcurrentBoundedQueue
             }
             pushed += segment;
             notEmpty.notify_all();
-            landed();
         }
         return pushed;
-    }
-
-    /** Pop the head if present; never blocks. */
-    std::optional<T>
-    tryPop()
-    {
-        std::optional<T> out;
-        {
-            std::lock_guard<std::mutex> lock(m);
-            if (count == 0)
-                return std::nullopt;
-            out.emplace(takeLocked());
-        }
-        notFull.notify_one();
-        return out;
     }
 
     /**
@@ -169,30 +154,9 @@ class ConcurrentBoundedQueue
     }
 
     /**
-     * popBatch() without the blocking wait: pop up to @p max items into
-     * @p out (cleared first) and return immediately.  Returns the
-     * number popped -- 0 when the queue is currently empty, closed or
-     * not.  Consumers multiplexing several queues (the engine's workers
-     * poll their request queue *and* the shared fan-out task queue) use
-     * this and park on an external doorbell instead of blocking here.
-     */
-    std::size_t
-    tryPopBatch(std::vector<T> &out, std::size_t max)
-    {
-        out.clear();
-        {
-            std::lock_guard<std::mutex> lock(m);
-            takeBatchLocked(out, max);
-        }
-        if (!out.empty())
-            notFull.notify_all();
-        return out.size();
-    }
-
-    /**
      * Close the queue: subsequent pushes fail, blocked producers and
-     * consumers wake up, and pop() returns std::nullopt once the
-     * remaining items are drained.
+     * consumers wake up, and pop() returns std::nullopt (popBatch()
+     * 0) once the remaining items are drained.
      */
     void
     close()

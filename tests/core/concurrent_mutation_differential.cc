@@ -14,9 +14,9 @@
  * equal the oracle's port-filtered subsequence field for field (tag,
  * ok, hit, data, key, bucketsAccessed), and the final tables must
  * agree on every key the stream ever touched.  Swept over worker
- * counts x batch widths x key spaces (binary probing, and ternary
- * multi-home with row fan-out forced on, so shard stealing interleaves
- * with the owners' mutations).  ci_tsan.sh runs this suite under TSan.
+ * counts x key spaces (binary probing, and ternary keys whose
+ * don't-care taps spread lookups over several home rows).  ci_tsan.sh
+ * runs this suite under TSan.
  */
 
 #include <memory>
@@ -115,7 +115,7 @@ buildSubsystem(const Variant &v, unsigned nports, const char *tag)
  * A seeded mixed stream over @p nports ports.  Insert keys are drawn
  * near-fully-specified (bounded duplication); erase and most search
  * keys replay earlier inserts so mutations keep landing on live rows;
- * ternary search keys sometimes widen a tap to fan out across homes.
+ * ternary search keys sometimes widen a tap to span several homes.
  */
 std::vector<PortRequest>
 mixedStream(const Variant &v, unsigned nports, std::size_t total,
@@ -147,8 +147,7 @@ mixedStream(const Variant &v, unsigned nports, std::size_t total,
                 ? pop[rng.below(pop.size())]
                 : randomKey(rng, v, 0.95);
             if (v.ternary && rng.chance(0.35)) {
-                // Widen 1-3 taps: multi-home lookups that the forced
-                // fan-out threshold routes through the shard queue.
+                // Widen 1-3 taps: multi-home lookups.
                 const unsigned clear =
                     static_cast<unsigned>(rng.inRange(1, 3));
                 for (unsigned c = 0; c < clear; ++c)
@@ -188,13 +187,11 @@ expectSameResponse(const PortResponse &got, const PortResponse &want,
 
 void
 runDifferential(const Variant &v, unsigned nports, unsigned workers,
-                std::size_t batch_size, unsigned fanout_min,
                 uint64_t seed)
 {
     SCOPED_TRACE(::testing::Message()
                  << "variant " << v.name << " workers " << workers
-                 << " batch " << batch_size << " fanoutMin "
-                 << fanout_min << " seed " << seed);
+                 << " seed " << seed);
     auto oracle_sys = buildSubsystem(v, nports, "oracle");
     auto subject_sys = buildSubsystem(v, nports, "subject");
     const std::vector<PortRequest> stream =
@@ -204,8 +201,6 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
 
     EngineConfig cfg;
     cfg.workers = workers;
-    cfg.batchSize = batch_size;
-    cfg.rowFanoutMin = fanout_min;
     ParallelSearchEngine eng(*subject_sys, cfg);
     eng.start();
     ASSERT_EQ(eng.submitBatch(stream), stream.size());
@@ -245,39 +240,29 @@ runDifferential(const Variant &v, unsigned nports, unsigned workers,
     }
 }
 
-TEST(ConcurrentMutationDifferential, BinaryTwoWorkersSerialRuns)
+TEST(ConcurrentMutationDifferential, BinaryTwoWorkers)
 {
-    runDifferential(binaryVariant(), 4, 2, 1, 0, 0xc0ffee01);
+    runDifferential(binaryVariant(), 4, 2, 0xc0ffee01);
 }
 
-TEST(ConcurrentMutationDifferential, BinaryTwoWorkersBatched)
+TEST(ConcurrentMutationDifferential, BinaryFourWorkers)
 {
-    runDifferential(binaryVariant(), 4, 2, 8, 0, 0xc0ffee02);
+    runDifferential(binaryVariant(), 6, 4, 0xc0ffee03);
 }
 
-TEST(ConcurrentMutationDifferential, BinaryFourWorkersSerialRuns)
+TEST(ConcurrentMutationDifferential, TernaryFourWorkers)
 {
-    runDifferential(binaryVariant(), 6, 4, 1, 0, 0xc0ffee03);
-}
-
-TEST(ConcurrentMutationDifferential, BinaryFourWorkersBatched)
-{
-    runDifferential(binaryVariant(), 6, 4, 8, 0, 0xc0ffee04);
-}
-
-TEST(ConcurrentMutationDifferential, TernaryFanoutBatched)
-{
-    // Row fan-out forced down to 2 homes: shard stealing, insert runs
-    // and the owners' in-place mutations all interleave in one stream.
-    runDifferential(ternaryVariant(), 4, 4, 8, 2, 0xc0ffee05);
+    // Multi-home ternary lookups interleave with the owners' in-place
+    // mutations in one stream.
+    runDifferential(ternaryVariant(), 4, 4, 0xc0ffee05);
 }
 
 TEST(ConcurrentMutationDifferential, MorePortsThanWorkers)
 {
     // Port count far above worker count: each worker owns several
     // ports, so one port's mutations interleave with its siblings'
-    // runs on the same thread.
-    runDifferential(binaryVariant(), 9, 2, 4, 0, 0xc0ffee06);
+    // requests on the same thread.
+    runDifferential(binaryVariant(), 9, 2, 0xc0ffee06);
 }
 
 } // namespace

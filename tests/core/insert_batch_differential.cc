@@ -200,7 +200,7 @@ TEST(InsertBatchDifferential, ProbeNoneFillsAndRejects)
     runDifferential(cfg, burstyBinary(cfg, 80, 2));
 }
 
-TEST(InsertBatchDifferential, SecondHashKeyDependentProbes)
+TEST(InsertBatchDifferential, SecondHashHomeDependentProbes)
 {
     SliceConfig cfg;
     cfg.indexBits = 5;

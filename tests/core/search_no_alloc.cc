@@ -16,7 +16,6 @@
  * with a global operator new/delete hook, which sees every thread.
  */
 
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -31,7 +30,6 @@
 #include "core/slice.h"
 #include "core/subsystem.h"
 #include "engine/parallel_search_engine.h"
-#include "engine/result_cache.h"
 #include "hash/bit_select.h"
 
 namespace {
@@ -316,47 +314,6 @@ TEST(SearchNoAlloc, PrefetchedLpmSearchLoop)
     EXPECT_EQ(n, 0u);
 }
 
-TEST(SearchNoAlloc, FanoutShardLoop)
-{
-    // Steady-state intra-lookup fan-out: candidate-home expansion into
-    // a caller-owned (pre-sized) vector, caller-scratch key packing,
-    // per-shard searchRows over home ranges, the priority merge and
-    // the counter accounting must all be allocation-free -- this is
-    // the loop an engine worker runs per fanned-out lookup.
-    Fixture f(65, true, false);
-    std::vector<Key> wild = f.keys;
-    for (Key &k : wild) {
-        for (unsigned p = 0; p < 3; ++p)
-            k.setBitAt(p, false, false); // wildcard hash taps
-    }
-    std::vector<uint64_t> homes;
-    MatchProcessor::PackedKey packed;
-    std::array<SearchResult, 8> shard;
-    const uint64_t n = allocationsIn([&] {
-        for (int i = 0; i < 1000; ++i) {
-            const Key &k = wild[i % wild.size()];
-            f.slice->candidateHomes(k, homes);
-            f.slice->packSearchKey(k, packed);
-            const auto nhomes = static_cast<unsigned>(homes.size());
-            const unsigned nshards =
-                std::min<unsigned>(nhomes, shard.size());
-            const unsigned base = nhomes / nshards;
-            const unsigned rem = nhomes % nshards;
-            unsigned offset = 0;
-            for (unsigned s = 0; s < nshards; ++s) {
-                const unsigned count = base + (s < rem ? 1 : 0);
-                shard[s] = f.slice->searchRows(
-                    packed, homes.data() + offset, count);
-                offset += count;
-            }
-            const SearchResult merged = CaRamSlice::mergeShardResults(
-                shard.data(), nshards, f.cfg.lpm);
-            f.slice->noteFanoutSearch(merged.bucketsAccessed);
-        }
-    });
-    EXPECT_EQ(n, 0u);
-}
-
 TEST(SearchNoAlloc, MassCountLoop)
 {
     Fixture f(63, true, false);
@@ -388,67 +345,19 @@ TEST(SearchNoAlloc, BulkIngestSteadyStateLoop)
     EXPECT_EQ(n, 0u);
 }
 
-TEST(SearchNoAlloc, ResultCacheProbeAndFillLoop)
-{
-    // Steady-state hot-key caching: probe (hit and miss), fill and the
-    // generation reads the engine wraps around every search must all
-    // run out of the cache's fixed entry array.  Key reconstruction on
-    // a hit goes through Key::fromWords, which is alloc-free by
-    // design.
-    Fixture f(64, false, false);
-    engine::ResultCache cache(512, 4, 1);
-    const uint64_t n = allocationsIn([&] {
-        for (int i = 0; i < 1000; ++i) {
-            const Key &k = f.keys[i % f.keys.size()];
-            SearchResult out;
-            if (cache.probe(0, k, out))
-                continue; // cached lookup: zero slice work
-            const uint64_t gen = cache.generation(0);
-            const SearchResult fresh = f.slice->search(k);
-            cache.fill(0, k, fresh, gen);
-        }
-    });
-    EXPECT_EQ(n, 0u);
-}
-
-TEST(SearchNoAlloc, ResultCacheUncachedFallthroughLoop)
-{
-    // Invalidation-heavy steady state: every probe misses (the
-    // generation keeps moving), so the loop alternates miss, slice
-    // search, dead fill -- still zero allocations.
-    Fixture f(64, false, false);
-    engine::ResultCache cache(512, 4, 1);
-    const uint64_t n = allocationsIn([&] {
-        for (int i = 0; i < 500; ++i) {
-            const Key &k = f.keys[i % f.keys.size()];
-            SearchResult out;
-            const bool hit = cache.probe(0, k, out);
-            const uint64_t gen = cache.generation(0);
-            const SearchResult fresh = f.slice->search(k);
-            cache.invalidate(0); // mutation between search and fill
-            cache.fill(0, k, fresh, gen);
-            (void)hit;
-        }
-    });
-    EXPECT_EQ(n, 0u);
-}
-
 TEST(SearchNoAlloc, MissHeavySearchLoop)
 {
-    // Mostly absent keys on the serial, pipelined and candidate-home
-    // paths: a miss walks its whole chain without touching the heap.
+    // Mostly absent keys on the serial and pipelined paths: a miss
+    // walks its whole chain without touching the heap.
     Fixture f(64, false, false);
     Rng rng(99);
     std::vector<Key> mixed = f.keys;
     for (int i = 0; i < 100; ++i)
         mixed.push_back(Key::fromUint(rng.next64(), 64)); // mostly absent
-    std::vector<uint64_t> homes;
     const uint64_t n = allocationsIn([&] {
         for (int i = 0; i < 1000; ++i)
             f.slice->search(mixed[i % mixed.size()]);
         pipelinedSearches(*f.slice, mixed, 4);
-        for (int i = 0; i < 200; ++i)
-            f.slice->candidateHomes(mixed[i % mixed.size()], homes);
     });
     EXPECT_EQ(n, 0u);
 }

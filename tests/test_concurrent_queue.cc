@@ -1,7 +1,5 @@
-/** @file Tests for sim::ConcurrentBoundedQueue (including MPMC stress)
- *  and sim::CompletionLatch. */
+/** @file Tests for sim::ConcurrentBoundedQueue (including MPMC stress). */
 
-#include "sim/completion_latch.h"
 #include "sim/concurrent_queue.h"
 
 #include <gtest/gtest.h>
@@ -31,11 +29,11 @@ TEST(ConcurrentQueue, FifoOrderAndOccupancy)
         EXPECT_TRUE(q.tryPush(i));
     EXPECT_EQ(q.size(), 4u);
     for (int i = 0; i < 4; ++i) {
-        auto v = q.tryPop();
+        auto v = q.pop();
         ASSERT_TRUE(v.has_value());
         EXPECT_EQ(*v, i);
     }
-    EXPECT_FALSE(q.tryPop().has_value());
+    EXPECT_TRUE(q.empty());
 }
 
 TEST(ConcurrentQueue, TryPushBackpressureCountsStalls)
@@ -61,10 +59,10 @@ TEST(ConcurrentQueue, BlockingPushWaitsForSpace)
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     EXPECT_FALSE(pushed.load());
-    EXPECT_EQ(q.tryPop().value(), 1);
+    EXPECT_EQ(q.pop().value(), 1);
     producer.join();
     EXPECT_TRUE(pushed.load());
-    EXPECT_EQ(q.tryPop().value(), 2);
+    EXPECT_EQ(q.pop().value(), 2);
 }
 
 TEST(ConcurrentQueue, CloseDrainsThenSignalsEnd)
@@ -105,35 +103,18 @@ TEST(ConcurrentQueue, PopBatchAmortizesLocking)
     EXPECT_EQ(q.popBatch(batch, 4), 0u);
 }
 
-TEST(ConcurrentQueue, TryPopBatchNeverBlocks)
+TEST(ConcurrentQueue, PopBatchDrainsAfterClose)
 {
-    ConcurrentBoundedQueue<int> q(8);
-    std::vector<int> batch;
-    // Empty queue: returns 0 immediately instead of waiting.
-    EXPECT_EQ(q.tryPopBatch(batch, 4), 0u);
-    EXPECT_TRUE(batch.empty());
-    for (int i = 0; i < 6; ++i)
-        q.tryPush(i);
-    EXPECT_EQ(q.tryPopBatch(batch, 4), 4u);
-    EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(q.tryPopBatch(batch, 4), 2u);
-    EXPECT_EQ(batch, (std::vector<int>{4, 5}));
-    // Closed and drained: still 0, still no blocking.
-    q.close();
-    EXPECT_EQ(q.tryPopBatch(batch, 4), 0u);
-}
-
-TEST(ConcurrentQueue, TryPopBatchDrainsAfterClose)
-{
-    // Items pushed before close() are still delivered -- consumers
-    // multiplexing queues via tryPopBatch must not lose the tail.
+    // Items pushed before close() are still delivered: a worker looping
+    // on popBatch() must not lose the tail when stop() closes its queue.
     ConcurrentBoundedQueue<int> q(4);
     q.tryPush(7);
     q.tryPush(8);
     q.close();
     std::vector<int> batch;
-    EXPECT_EQ(q.tryPopBatch(batch, 8), 2u);
+    EXPECT_EQ(q.popBatch(batch, 8), 2u);
     EXPECT_EQ(batch, (std::vector<int>{7, 8}));
+    EXPECT_EQ(q.popBatch(batch, 8), 0u);
 }
 
 TEST(ConcurrentQueue, PushBatchKeepsOrderAcrossTheRingWrap)
@@ -142,50 +123,43 @@ TEST(ConcurrentQueue, PushBatchKeepsOrderAcrossTheRingWrap)
     ConcurrentBoundedQueue<int> q(5);
     ASSERT_TRUE(q.tryPush(-1));
     ASSERT_TRUE(q.tryPush(-2));
-    ASSERT_EQ(q.tryPop().value(), -1);
-    ASSERT_EQ(q.tryPop().value(), -2);
+    ASSERT_EQ(q.pop().value(), -1);
+    ASSERT_EQ(q.pop().value(), -2);
     int next = 0;
-    unsigned rings = 0;
-    EXPECT_EQ(q.pushBatch(
-                  5, [&](int &slot) { slot = next++; }, [&] { ++rings; }),
-              5u);
-    EXPECT_EQ(rings, 1u); // it all fit: one segment, one ring
+    EXPECT_EQ(q.pushBatch(5, [&](int &slot) { slot = next++; }), 5u);
     EXPECT_EQ(q.totalPushes(), 7u);
     EXPECT_EQ(q.peakOccupancy(), 5u);
-    EXPECT_EQ(q.totalStalls(), 0u);
+    EXPECT_EQ(q.totalStalls(), 0u); // it all fit: one segment
     std::vector<int> batch;
-    EXPECT_EQ(q.tryPopBatch(batch, 8), 5u);
+    EXPECT_EQ(q.popBatch(batch, 8), 5u);
     EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(ConcurrentQueue, PushBatchBlocksWhenFullAndRingsEachSegment)
+TEST(ConcurrentQueue, PushBatchBlocksWhenFull)
 {
     // 20 items through 4 slots: the first segment fills the queue, the
-    // producer rings and blocks until a consumer makes room, and every
-    // item arrives exactly once, in order.
+    // producer blocks until a consumer makes room, and every item
+    // arrives exactly once, in order.
     ConcurrentBoundedQueue<int> q(4);
-    std::atomic<unsigned> rings{0};
     std::thread producer([&] {
         int next = 0;
-        EXPECT_EQ(q.pushBatch(
-                      20, [&](int &slot) { slot = next++; },
-                      [&] { rings.fetch_add(1); }),
-                  20u);
+        EXPECT_EQ(q.pushBatch(20, [&](int &slot) { slot = next++; }), 20u);
     });
-    while (rings.load() == 0)
+    while (q.size() < 4)
         std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(q.size(), 4u);
-    EXPECT_EQ(rings.load(), 1u); // blocked: no second segment yet
+    EXPECT_EQ(q.size(), 4u); // blocked: no second segment yet
     std::vector<int> seen;
-    while (seen.size() < 20)
-        seen.push_back(q.pop().value());
+    std::vector<int> batch;
+    while (seen.size() < 20) {
+        q.popBatch(batch, 3);
+        seen.insert(seen.end(), batch.begin(), batch.end());
+    }
     producer.join();
     std::vector<int> want(20);
     for (int i = 0; i < 20; ++i)
         want[i] = i;
     EXPECT_EQ(seen, want);
-    EXPECT_GE(rings.load(), 2u);
     EXPECT_GE(q.totalStalls(), 1u);
     EXPECT_EQ(q.totalPushes(), 20u);
 }
@@ -193,98 +167,23 @@ TEST(ConcurrentQueue, PushBatchBlocksWhenFullAndRingsEachSegment)
 TEST(ConcurrentQueue, PushBatchReturnsCountPushedWhenClosedMidBatch)
 {
     ConcurrentBoundedQueue<int> q(4);
-    std::atomic<unsigned> rings{0};
     std::size_t pushed = 0;
     std::thread producer([&] {
         int next = 0;
-        pushed = q.pushBatch(
-            10, [&](int &slot) { slot = next++; },
-            [&] { rings.fetch_add(1); });
+        pushed = q.pushBatch(10, [&](int &slot) { slot = next++; });
     });
     // Close once the first segment landed: the producer is blocked on
     // the full queue (or about to be) and must give up there.
-    while (rings.load() == 0)
+    while (q.size() < 4)
         std::this_thread::yield();
     q.close();
     producer.join();
     EXPECT_EQ(pushed, 4u);
-    EXPECT_EQ(rings.load(), 1u);
     // What landed still drains; a closed queue takes no new batch.
     std::vector<int> batch;
-    EXPECT_EQ(q.tryPopBatch(batch, 8), 4u);
+    EXPECT_EQ(q.popBatch(batch, 8), 4u);
     EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(q.pushBatch(
-                  3, [](int &slot) { slot = 9; },
-                  [&] { rings.fetch_add(1); }),
-              0u);
-    EXPECT_EQ(rings.load(), 1u);
-}
-
-TEST(CompletionLatch, WaitReturnsAfterAllArrivals)
-{
-    CompletionLatch latch;
-    latch.reset(3);
-    EXPECT_FALSE(latch.tryWait());
-    latch.arrive();
-    latch.arrive();
-    EXPECT_FALSE(latch.tryWait());
-    latch.arrive();
-    EXPECT_TRUE(latch.tryWait());
-    latch.wait(); // already complete: returns immediately
-}
-
-TEST(CompletionLatch, ZeroCountIsImmediatelyComplete)
-{
-    CompletionLatch latch;
-    latch.reset(0);
-    EXPECT_TRUE(latch.tryWait());
-    latch.wait();
-}
-
-TEST(CompletionLatch, ArriveWithoutResetPanics)
-{
-    CompletionLatch latch;
-    EXPECT_DEATH(latch.arrive(), "without a matching reset");
-    latch.reset(1);
-    latch.arrive();
-    EXPECT_DEATH(latch.arrive(), "without a matching reset");
-}
-
-TEST(CompletionLatch, CrossThreadForkJoin)
-{
-    // The engine's shape: a coordinator arms the latch, worker threads
-    // arrive as sub-tasks finish, the coordinator blocks in wait().
-    // Reused across rounds without reallocation.
-    CompletionLatch latch;
-    std::atomic<int> done{0};
-    for (int round = 0; round < 50; ++round) {
-        constexpr int kTasks = 4;
-        latch.reset(kTasks);
-        std::vector<std::thread> tasks;
-        for (int t = 0; t < kTasks; ++t) {
-            tasks.emplace_back([&] {
-                done.fetch_add(1, std::memory_order_relaxed);
-                latch.arrive();
-            });
-        }
-        latch.wait();
-        EXPECT_EQ(done.load(), (round + 1) * kTasks);
-        for (auto &t : tasks)
-            t.join();
-    }
-}
-
-TEST(CompletionLatch, HelpFirstJoinObservesCompletion)
-{
-    // tryWait() polled from a help-first loop must flip exactly when
-    // the last arrival lands, even when that arrival races the poll.
-    CompletionLatch latch;
-    latch.reset(1);
-    std::thread worker([&] { latch.arrive(); });
-    while (!latch.tryWait())
-        std::this_thread::yield();
-    worker.join();
-    EXPECT_TRUE(latch.tryWait());
+    EXPECT_EQ(q.pushBatch(3, [](int &slot) { slot = 9; }), 0u);
 }
 
 TEST(ConcurrentQueue, MultiProducerMultiConsumerStress)
